@@ -6,7 +6,10 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import dense, lattice, seplp, symmetry, witness
+import numpy as np
+
+from . import dense, lattice, seplp, symmetry, tables, witness
+from .lattice import ConsistencyError
 
 __all__ = [
     "Label",
@@ -38,10 +41,6 @@ class Justification(str, Enum):
     MAXIMALLY_MIXED = "MAXIMALLY_MIXED"
     ISOTROPIC_N15 = "ISOTROPIC_N15"
     NONE = "NONE"
-
-
-class ConsistencyError(AssertionError):
-    """A subset was both witnessed entangled and certified separable."""
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def _violating_site(mask: int) -> tuple[int, int]:
         for b in range(4):
             if 2 * lattice.cross_count(mask, a, b) > n:
                 return (a, b)
-    raise AssertionError("no violating site on a non-PPT subset")
+    raise ConsistencyError("no violating site on a non-PPT subset")
 
 
 def classify(
@@ -109,7 +108,11 @@ def classify(
         site = _violating_site(mask)
         if numeric_check:
             min_eig = float(dense.pt_spectrum(mask)[0])
-            assert min_eig < -1e-9, "NPT verdict not confirmed numerically"
+            if not min_eig < -1e-9:
+                raise ConsistencyError(
+                    f"NPT verdict for 0x{mask:04X} not confirmed numerically: "
+                    f"minimum PT eigenvalue {min_eig}"
+                )
         return Classification(
             Label.NPT_ENTANGLED,
             Justification.PROP1A_VIOLATION,
@@ -166,16 +169,14 @@ def census(
 ) -> list[CensusRecord]:
     """Classify one representative per symmetry orbit, deterministically
     ordered by (cardinality, canonical mask)."""
-    canon = symmetry.canonical_map_all()
-    orbit_sizes: dict[int, int] = {}
-    for mask in range(1, lattice.FULL_MASK + 1):
-        orbit_sizes[canon[mask]] = orbit_sizes.get(canon[mask], 0) + 1
-    reps = sorted(
-        (c, size)
-        for c, size in orbit_sizes.items()
-        if min_n <= lattice.cardinality(c) <= max_n
+    n = tables.cardinality()
+    chosen = np.flatnonzero(
+        (symmetry.canonical_table() == tables.masks())
+        & (n >= max(min_n, 1))  # the empty mask defines no state
+        & (n <= max_n)
     )
-    reps.sort(key=lambda cs: (lattice.cardinality(cs[0]), cs[0]))
+    chosen = chosen[np.argsort(n[chosen], kind="stable")]
+    reps = list(zip(chosen.tolist(), symmetry.orbit_size_table()[chosen].tolist()))
     if threads > 1:
         import multiprocessing
 

@@ -95,7 +95,10 @@ def cmd_decompose(args) -> int:
     if cert is None:
         _emit({"target": f"0x{mask:04X}", "decomposition": None}, args)
     else:
-        assert seplp.verify_certificate(cert)
+        if not seplp.verify_certificate(cert):
+            raise classify_mod.ConsistencyError(
+                f"certificate for 0x{mask:04X} failed verification"
+            )
         _emit(cert.to_json(), args)
     return 0
 
@@ -135,55 +138,69 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _global_flags(suppress: bool) -> argparse.ArgumentParser:
+    """The flags every command accepts, before or after its name.
+
+    The copy given to the subcommands has no defaults of its own
+    (``suppress``), so a flag set before the subcommand is not reset.
+    """
+
+    def default(value):
+        return argparse.SUPPRESS if suppress else value
+
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--threads", type=int, default=default(_default_threads()))
+    flags.add_argument("--seed", type=int, default=default(0))
+    flags.add_argument("--tolerance", type=float, default=default(1e-9))
+    flags.add_argument("--out", default=default(None))
+    flags.add_argument("--format", choices=["json", "ascii"], default=default("json"))
+    flags.add_argument(
+        "--numeric-double-check", action="store_true", default=default(False),
+        help="re-verify NPT verdicts with a dense eigensolve",
+    )
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lattice16",
         description="Classify 16x16 two-ququart lattice states.",
-    )
-    parser.add_argument("--threads", type=int, default=_default_threads())
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tolerance", type=float, default=1e-9)
-    parser.add_argument("--out", default=None)
-    parser.add_argument(
-        "--format", choices=["json", "csv", "ascii"], default="json"
-    )
-    parser.add_argument(
-        "--numeric-double-check", action="store_true",
-        help="re-verify NPT verdicts with a dense eigensolve",
+        parents=[_global_flags(suppress=False)],
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = [_global_flags(suppress=True)]
 
-    p = sub.add_parser("classify", help="classify one subset")
+    p = sub.add_parser("classify", parents=flags, help="classify one subset")
     p.add_argument("subset")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("census", help="classify every symmetry orbit")
+    p = sub.add_parser("census", parents=flags, help="classify every symmetry orbit")
     p.add_argument("--min", type=int, default=1)
     p.add_argument("--max", type=int, default=16)
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("orbit", help="canonical form and orbit size")
+    p = sub.add_parser("orbit", parents=flags, help="canonical form and orbit size")
     p.add_argument("subset")
     p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("witness", help="k=1 witness scan")
+    p = sub.add_parser("witness", parents=flags, help="k=1 witness scan")
     p.add_argument("subset")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("decompose", help="exact separability certificate")
+    p = sub.add_parser("decompose", parents=flags, help="exact separability certificate")
     p.add_argument("subset")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("ptspectrum", help="partial-transpose spectrum")
+    p = sub.add_parser("ptspectrum", parents=flags, help="partial-transpose spectrum")
     p.add_argument("subset")
     p.set_defaults(func=cmd_ptspectrum)
 
-    p = sub.add_parser("render", help="render a subset")
+    p = sub.add_parser("render", parents=flags, help="render a subset")
     p.add_argument("subset")
     p.add_argument("--form", choices=["grid", "pairs", "hex", "table"], default="table")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("verify", help="combinatorial-vs-dense oracle sweep")
+    p = sub.add_parser("verify", parents=flags, help="combinatorial-vs-dense oracle sweep")
     p.add_argument("--full", action="store_true",
                    help="accepted for compatibility; the sweep is always full")
     p.set_defaults(func=cmd_verify)

@@ -7,9 +7,11 @@ decisions with floating-point linear algebra.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from . import lattice, pauli
+from . import lattice, pauli, tables
 
 __all__ = [
     "projector_stack",
@@ -23,17 +25,12 @@ __all__ = [
     "oracle_sweep",
 ]
 
-_STACK = None
-
-
+@functools.cache
 def projector_stack() -> np.ndarray:
     """(16, 16, 16) array of the projectors P_ab, indexed by 4*a + b."""
-    global _STACK
-    if _STACK is None:
-        s = np.stack([pauli._projector(a, b) for a, b in pauli.ALL_SITES])
-        s.setflags(write=False)
-        _STACK = s
-    return _STACK
+    s = np.stack([pauli._projector(a, b) for a, b in pauli.ALL_SITES])
+    s.setflags(write=False)
+    return s
 
 
 def build_lattice_state(mask: int) -> np.ndarray:
@@ -90,12 +87,12 @@ def analytic_pt_spectrum(mask: int) -> np.ndarray:
 
 def _batched_pt_min_eig(masks: np.ndarray, chunk: int = 4096) -> np.ndarray:
     stack = projector_stack().reshape(16, 256)
-    bits = (masks[:, None] >> np.arange(16)[None, :]) & 1
-    counts = bits.sum(axis=1)
+    counts = tables.cardinality()[masks]
     out = np.empty(len(masks))
     for lo in range(0, len(masks), chunk):
         hi = min(lo + chunk, len(masks))
-        sel = bits[lo:hi].astype(float) / counts[lo:hi, None]
+        bits = masks[lo:hi, None] >> np.arange(16) & 1
+        sel = bits.astype(float) / counts[lo:hi, None]
         rhos = (sel @ stack).reshape(-1, 16, 16)
         pts = rhos.reshape(-1, 4, 4, 4, 4).transpose(0, 1, 4, 3, 2).reshape(-1, 16, 16)
         out[lo:hi] = np.linalg.eigvalsh(pts)[:, 0]
@@ -107,8 +104,7 @@ def pt_min_eigenvalues_all() -> np.ndarray:
 
     Index i of the result corresponds to mask i + 1.
     """
-    masks = np.arange(1, lattice.FULL_MASK + 1)
-    return _batched_pt_min_eig(masks)
+    return _batched_pt_min_eig(tables.masks()[1:])
 
 
 def oracle_sweep(
@@ -120,24 +116,20 @@ def oracle_sweep(
     Returns a report dict; ``report["disagreements"]`` is empty on success.
     """
     min_eigs = pt_min_eigenvalues_all()
+    # Index i below is mask i + 1, as in min_eigs.
+    bad_sign = tables.ppt()[1:] != (min_eigs >= -tol)
+    bad_margin = (
+        (tables.ppt_margin()[1:] != 0) & (np.abs(min_eigs) <= 1e-6) & (min_eigs < 0)
+    )
     disagreements = []
-    for mask in range(1, lattice.FULL_MASK + 1):
-        combinatorial = lattice.is_ppt(mask)
-        numeric = min_eigs[mask - 1] >= -tol
-        if combinatorial != numeric:
-            disagreements.append(("ppt_sign", mask))
-        n = lattice.cardinality(mask)
-        margin = max(
-            2 * lattice.cross_count(mask, a, b) - n
-            for a in range(4)
-            for b in range(4)
-        )
-        if margin != 0 and abs(min_eigs[mask - 1]) <= 1e-6 and min_eigs[mask - 1] < 0:
-            disagreements.append(("margin", mask))
+    for i in np.flatnonzero(bad_sign | bad_margin).tolist():
+        if bad_sign[i]:
+            disagreements.append(("ppt_sign", i + 1))
+        if bad_margin[i]:
+            disagreements.append(("margin", i + 1))
 
     rng = np.random.default_rng(seed)
-    small = [m for m in range(1, lattice.FULL_MASK + 1) if lattice.cardinality(m) <= 5]
-    sample = set(small)
+    sample = set(np.flatnonzero(tables.cardinality() <= 5).tolist()) - {0}
     sample.update(int(x) for x in rng.integers(1, lattice.FULL_MASK + 1, n_random))
     spectrum_checked = 0
     for mask in sorted(sample):

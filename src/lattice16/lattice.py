@@ -8,12 +8,14 @@ matching the orientation used throughout the accompanying figures.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 __all__ = [
     "FULL_MASK",
     "EmptySubsetError",
     "SubsetParseError",
+    "ConsistencyError",
     "site_bit",
     "sites",
     "cardinality",
@@ -40,6 +42,14 @@ class EmptySubsetError(ValueError):
 
 class SubsetParseError(ValueError):
     """Malformed textual subset description."""
+
+
+class ConsistencyError(AssertionError):
+    """Two independent routes to the same fact disagree, for example a
+    subset both witnessed entangled and certified separable."""
+
+
+_HEX_MASK = re.compile(r"0[xX][0-9a-fA-F]{1,4}")
 
 
 def site_bit(alpha: int, beta: int) -> int:
@@ -146,13 +156,11 @@ def parse_subset(text: str) -> int:
     if not text:
         raise SubsetParseError("empty subset description")
     if text.lower().startswith("0x"):
-        try:
-            mask = int(text, 16)
-        except ValueError as exc:
-            raise SubsetParseError(f"bad hex mask {text!r}") from exc
-        if not 0 <= mask <= FULL_MASK:
-            raise SubsetParseError(f"hex mask {text!r} out of range")
-        return mask
+        if not _HEX_MASK.fullmatch(text):
+            raise SubsetParseError(
+                f"bad hex mask {text!r}: need 1 to 4 hex digits after 0x"
+            )
+        return int(text, 16)
     if "/" in text:
         rows = text.split("/")
         if len(rows) != 4 or any(len(r) != 4 for r in rows):

@@ -12,13 +12,14 @@ is a statement about this basis only, never a proof of entanglement.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import lattice, symmetry
+from . import lattice, symmetry, tables
 from .dense import build_lattice_state
 from .simplex import feasible_nonneg_solution
 
@@ -30,24 +31,17 @@ __all__ = [
     "brute_force_decomposable",
 ]
 
-_BASIS = None
-
-
+@functools.cache
 def build_basis() -> list[int]:
-    """All four-site PPT subsets, by enumeration (60 of them).
+    """All four-site PPT subsets (60 of them), ordered as
+    itertools.combinations lists their bit positions; that order is the
+    LP's column order.
 
     Each member is proven separable by an exact product ensemble in
     ``tests/separable_basis.py``, checked in ``tests/test_seplp.py``.
     """
-    global _BASIS
-    if _BASIS is None:
-        members = []
-        for combo in itertools.combinations(range(16), 4):
-            mask = sum(1 << p for p in combo)
-            if lattice.is_ppt(mask):
-                members.append(mask)
-        _BASIS = members
-    return _BASIS
+    members = np.flatnonzero((tables.cardinality() == 4) & tables.ppt())
+    return sorted(members.tolist(), key=lattice.sites)
 
 
 @dataclass(frozen=True)
@@ -68,6 +62,7 @@ class DecompositionCertificate:
         }
 
 
+@functools.cache  # called with canonical masks only: one LP per orbit
 def _decompose_direct(mask: int) -> DecompositionCertificate | None:
     n = lattice.cardinality(mask)
     # Members carrying any site outside the target are forced to zero
@@ -90,20 +85,14 @@ def _decompose_direct(mask: int) -> DecompositionCertificate | None:
     return DecompositionCertificate(target=mask, weights=weights)
 
 
-_CANON_CACHE: dict[int, DecompositionCertificate | None] = {}
-
-
 def decompose(mask: int) -> DecompositionCertificate | None:
     """Certificate for rho_I over the rank-4 basis, or None if the LP is
     infeasible over that basis.  The target is canonicalized first and
     the certificate mapped back through the symmetry group."""
     if not lattice.is_ppt(mask):
         raise ValueError("decomposition is only attempted for PPT subsets")
-    rec = symmetry.canonical_form(mask)
-    canon = rec.canonical
-    if canon not in _CANON_CACHE:
-        _CANON_CACHE[canon] = _decompose_direct(canon)
-    cert = _CANON_CACHE[canon]
+    canon = symmetry.canonical_form(mask).canonical
+    cert = _decompose_direct(canon)
     if cert is None:
         return None
     if canon == mask:

@@ -1,0 +1,68 @@
+"""The lattice combinatorics of every mask at once, as numpy arrays.
+
+Index m of each array is the mask m, for all 2^16 masks including the
+empty one.  Each array is built once, on first use, and is read-only.
+The scalar functions of :mod:`lattice16.lattice` define the same
+quantities one mask at a time; they stay the public API and the
+reference these tables are tested against.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+from . import lattice
+
+__all__ = ["masks", "cardinality", "ppt_margin", "ppt"]
+
+_BYTE_WEIGHT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.cache
+def masks() -> np.ndarray:
+    """Every mask 0..0xFFFF, in order (uint16)."""
+    return _frozen(np.arange(lattice.FULL_MASK + 1, dtype=np.uint16))
+
+
+@functools.cache
+def cardinality() -> np.ndarray:
+    """N = |I| of every mask (uint8)."""
+    m = masks()
+    return _frozen(_BYTE_WEIGHT[m & 0xFF] + _BYTE_WEIGHT[m >> 8])
+
+
+@functools.cache
+def ppt_margin() -> np.ndarray:
+    """max over sites (a, b) of 2 * cross_count(mask, a, b) - N (int16).
+
+    A nonempty mask is PPT iff its margin is at most 0.
+    """
+    m = masks()
+
+    def bit(p: int) -> np.ndarray:
+        return (m >> p & 1).astype(np.uint8)
+
+    cols = [_BYTE_WEIGHT[m >> 4 * a & 0xF] for a in range(4)]
+    rows = [bit(b) + bit(4 + b) + bit(8 + b) + bit(12 + b) for b in range(4)]
+    # uint8 is safe: a site in I adds 1 to both its row and its column.
+    widest = np.zeros(len(m), dtype=np.uint8)
+    for a in range(4):
+        for b in range(4):
+            np.maximum(widest, cols[a] + rows[b] - 2 * bit(4 * a + b), out=widest)
+    return _frozen(2 * widest.astype(np.int16) - cardinality())
+
+
+@functools.cache
+def ppt() -> np.ndarray:
+    """The PPT flag of every mask (bool); False for the empty mask, which
+    defines no state."""
+    flag = ppt_margin() <= 0
+    flag[0] = False
+    return _frozen(flag)

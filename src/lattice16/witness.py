@@ -14,6 +14,7 @@ import numpy as np
 
 from . import lattice, pauli
 from .dense import build_lattice_state
+from .lattice import ConsistencyError
 
 __all__ = [
     "VMatrix",
@@ -190,17 +191,20 @@ def witness_scan(
                 (a2, b) for b in range(4) if b != b2
             ]
             points = [s for s in cross if mask >> (4 * s[0] + s[1]) & 1]
-            assert len(points) == 1, "k=1 must have a unique contributor"
+            if len(points) != 1:
+                raise ConsistencyError(
+                    f"k=1 at {(mu, nu)} but {len(points)} contributors on its cross"
+                )
             v = canonical_v_for(points[0], (a2, b2))
             value = phi_v_tilde_diagonal(mask, mu, nu, v)
             if abs(value + 1.0 / (2 * n)) > tol:
-                raise AssertionError(
+                raise ConsistencyError(
                     f"canonical witness value {value} != -1/(2*{n})"
                 )
             if dense_check:
                 dense_value = _dense_tilde_diagonal(rho, mu, nu, v)
                 if abs(dense_value - value) > tol:
-                    raise AssertionError(
+                    raise ConsistencyError(
                         "closed-form and dense witness values disagree: "
                         f"{value} vs {dense_value}"
                     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -116,3 +117,12 @@ def test_explain_outputs(grids):
     assert "SEPARABLE" in text
     assert "certificate" in text
     assert "empty subset" in classifier.explain(0)
+
+
+# The census output is fixed: the benchmark pins the same digest.
+CENSUS_SHA256 = "c67b3bd90041241a2f8c4946e2de55acbdd9e6208f4d3cd5a9bce8d6cdcab302"
+
+
+def test_census_jsonl_golden():
+    text = classifier.census_to_jsonl(classifier.census())
+    assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_SHA256

@@ -1,9 +1,15 @@
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from lattice16 import cli
 
+ROOT = Path(__file__).resolve().parents[1]
 RHO6 = ".XX./.XX./.XX./...."
 EX2R = "XX.X/X.X./.X.X/XX.X"
 
@@ -122,3 +128,71 @@ def test_verify_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "--full")
     assert code == 0
     assert "OK" in out
+
+
+def test_global_flags_after_subcommand(capsys, tmp_path):
+    out_path = tmp_path / "orbit.json"
+    code, printed, _ = run(capsys, "orbit", RHO6, "--out", str(out_path))
+    assert code == 0 and printed == ""
+    assert json.loads(out_path.read_text())["orbit_size"] > 0
+    code, out, _ = run(capsys, "classify", EX2R, "--format", "ascii")
+    assert code == 0 and "PPT_ENTANGLED" in out
+
+
+def test_flag_before_subcommand_is_kept(capsys, tmp_path):
+    out_path = tmp_path / "orbit.json"
+    code, printed, _ = run(capsys, "--out", str(out_path), "orbit", RHO6)
+    assert code == 0 and printed == ""
+    assert out_path.exists()
+    code, _, err = run(capsys, "--tolerance", "0.5", "render", RHO6)
+    assert code == 2 and "tolerance" in err
+
+
+def test_csv_format_rejected(capsys):
+    code, out, err = run(capsys, "--format", "csv", "classify", RHO6)
+    assert code == 2
+    assert out == "" and "csv" in err
+
+
+def _readme_commands() -> list[list[str]]:
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)
+        for line in block.splitlines()
+        if line.startswith("lattice16 ")
+    ]
+
+
+def test_readme_commands(capsys, tmp_path):
+    commands = _readme_commands()
+    assert len(commands) == 8
+    for argv in commands:
+        argv = argv[1:]
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert out, argv
+    census = (tmp_path / "census.jsonl").read_text().splitlines()
+    assert len(census) == 191
+
+
+def test_consistency_failure_reported_under_optimize():
+    # Runtime checks must survive python -O, which strips assert statements.
+    script = (
+        "import sys\n"
+        "from lattice16 import cli, seplp\n"
+        "if not sys.flags.optimize: sys.exit(99)\n"
+        "seplp.verify_certificate = lambda cert: False\n"
+        f"sys.exit(cli.main(['decompose', {RHO6!r}]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "consistency violation" in proc.stderr
+    assert "failed verification" in proc.stderr

@@ -159,6 +159,17 @@ def test_parse_errors():
             lattice.parse_subset(bad)
 
 
+def test_parse_hex_needs_one_to_four_digits():
+    # int(text, 16) alone would accept the underscores and the sign.
+    for bad in ("0x_1", "0x1_0", "0X_FFFF", "0x", "0x00001", "0x+1", "0x-1",
+                "0x 1"):
+        with pytest.raises(lattice.SubsetParseError):
+            lattice.parse_subset(bad)
+    assert lattice.parse_subset("0x1") == 1
+    assert lattice.parse_subset("0XaBcD") == 0xABCD
+    assert lattice.parse_subset("  0x0010 ") == 16
+
+
 def test_render_round_trip():
     for _ in range(200):
         mask = random.randrange(1, lattice.FULL_MASK + 1)

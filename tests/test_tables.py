@@ -1,0 +1,76 @@
+"""The whole-mask-space tables against the scalar functions they replace
+in the sweeps: every mask for the lattice tables, and the canonical map
+against the group action itself."""
+
+import random
+
+import numpy as np
+
+from lattice16 import lattice, symmetry, tables
+
+ALL = lattice.FULL_MASK + 1
+
+
+def test_lattice_tables_match_scalar_functions():
+    card = tables.cardinality()
+    ppt = tables.ppt()
+    margin = tables.ppt_margin()
+    assert (card.dtype, ppt.dtype, margin.dtype) == (np.uint8, np.bool_, np.int16)
+    assert len(card) == len(ppt) == len(margin) == ALL
+    assert card[0] == 0 and not ppt[0]
+    card, ppt, margin = card.tolist(), ppt.tolist(), margin.tolist()
+    for mask in range(1, ALL):
+        n = lattice.cardinality(mask)
+        assert card[mask] == n
+        assert ppt[mask] == lattice.is_ppt(mask)
+        assert margin[mask] == max(
+            2 * lattice.cross_count(mask, a, b) - n for a in range(4) for b in range(4)
+        )
+
+
+def test_tables_are_read_only():
+    for table in (tables.masks(), tables.cardinality(), tables.ppt_margin(),
+                  tables.ppt(), symmetry.canonical_table(),
+                  symmetry.orbit_size_table()):
+        assert not table.flags.writeable
+
+
+def _image(site_map: tuple[int, ...], masks: np.ndarray) -> np.ndarray:
+    """The image of every mask under one site map, bit by bit."""
+    out = np.zeros_like(masks)
+    for pos, target in enumerate(site_map):
+        out |= (masks >> pos & 1) << target
+    return out
+
+
+def test_canonical_table_is_the_orbit_minimum():
+    masks = tables.masks()
+    canon = symmetry.canonical_table()
+    assert canon.dtype == np.uint16
+    assert (canon <= masks).all()
+    for g in symmetry.generators():
+        assert np.array_equal(canon[_image(g.site_map(), masks)], canon)
+    reps = np.flatnonzero(canon == masks)
+    assert reps[0] == 0 and len(reps) == 192  # the empty mask and 191 orbits
+    sizes = symmetry.orbit_size_table()
+    assert int(sizes[reps[1:]].sum()) == ALL - 1
+    for rep in reps.tolist():
+        assert 1152 % sizes[rep] == 0
+        assert symmetry.canonical_form(rep).orbit_size == sizes[rep]
+
+
+def test_canonical_table_against_group_action():
+    canon = symmetry.canonical_table()
+    sizes = symmetry.orbit_size_table()
+    rng = random.Random(2024)
+    grp = symmetry.group()
+    for mask in rng.sample(range(ALL), 500):
+        orbit = {symmetry.act(g, mask) for g in grp}
+        assert canon[mask] == min(orbit)
+        assert sizes[mask] == len(orbit)
+        rec = symmetry.canonical_form(mask)
+        assert (rec.canonical, rec.orbit_size) == (min(orbit), len(orbit))
+
+
+def test_canonical_map_all_is_the_table():
+    assert symmetry.canonical_map_all() == symmetry.canonical_table().tolist()
