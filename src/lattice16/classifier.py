@@ -143,8 +143,7 @@ def classify(
     )
 
 
-def _classify_record(args) -> CensusRecord:
-    canonical, orbit_size = args
+def _classify_record(canonical: int, orbit_size: int) -> CensusRecord:
     cls = classify(canonical, dense_witness_check=False)
     if cls.label is Label.PPT_ENTANGLED:
         # Consistency triangle: a witnessed state must never also admit
@@ -164,9 +163,7 @@ def _classify_record(args) -> CensusRecord:
     )
 
 
-def census(
-    min_n: int = 1, max_n: int = 16, threads: int = 1
-) -> list[CensusRecord]:
+def census(min_n: int = 1, max_n: int = 16) -> list[CensusRecord]:
     """Classify one representative per symmetry orbit, deterministically
     ordered by (cardinality, canonical mask)."""
     n = tables.cardinality()
@@ -176,15 +173,8 @@ def census(
         & (n <= max_n)
     )
     chosen = chosen[np.argsort(n[chosen], kind="stable")]
-    reps = list(zip(chosen.tolist(), symmetry.orbit_size_table()[chosen].tolist()))
-    if threads > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(threads) as pool:
-            records = pool.map(_classify_record, reps)
-    else:
-        records = [_classify_record(r) for r in reps]
-    return records
+    sizes = symmetry.orbit_size_table()[chosen].tolist()
+    return [_classify_record(c, s) for c, s in zip(chosen.tolist(), sizes)]
 
 
 def summary_table(records: list[CensusRecord]) -> dict[int, dict[str, int]]:

@@ -4,21 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import classifier as classify_mod
 from . import dense, lattice, seplp, symmetry, witness
-
-
-def _default_threads() -> int:
-    env = os.environ.get("LATTICE16_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _parse_subset_or_exit(text: str) -> int:
@@ -50,9 +39,7 @@ def cmd_classify(args) -> int:
 
 def cmd_census(args) -> int:
     try:
-        records = classify_mod.census(
-            min_n=args.min, max_n=args.max, threads=args.threads
-        )
+        records = classify_mod.census(min_n=args.min, max_n=args.max)
     except classify_mod.ConsistencyError as exc:
         print(f"consistency violation: {exc}", file=sys.stderr)
         return 1
@@ -149,7 +136,6 @@ def _global_flags(suppress: bool) -> argparse.ArgumentParser:
         return argparse.SUPPRESS if suppress else value
 
     flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--threads", type=int, default=default(_default_threads()))
     flags.add_argument("--seed", type=int, default=default(0))
     flags.add_argument("--tolerance", type=float, default=default(1e-9))
     flags.add_argument("--out", default=default(None))
@@ -201,8 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("verify", parents=flags, help="combinatorial-vs-dense oracle sweep")
-    p.add_argument("--full", action="store_true",
-                   help="accepted for compatibility; the sweep is always full")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -212,9 +196,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if not 0 < args.tolerance <= 1e-3:
         print("error: tolerance must be in (0, 1e-3]", file=sys.stderr)
-        return 2
-    if args.threads < 1:
-        print("error: threads must be >= 1", file=sys.stderr)
         return 2
     try:
         return args.func(args)

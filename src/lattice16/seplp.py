@@ -13,7 +13,6 @@ is a statement about this basis only, never a proof of entanglement.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +27,6 @@ __all__ = [
     "DecompositionCertificate",
     "decompose",
     "verify_certificate",
-    "brute_force_decomposable",
 ]
 
 @functools.cache
@@ -71,10 +69,7 @@ def _decompose_direct(mask: int) -> DecompositionCertificate | None:
     if not candidates:
         return None
     target_sites = lattice.sites(mask)
-    rows = [
-        [Fraction(1) if j >> (4 * a + b) & 1 else Fraction(0) for j in candidates]
-        for a, b in target_sites
-    ]
+    rows = [[j >> (4 * a + b) & 1 for j in candidates] for a, b in target_sites]
     rhs = [Fraction(4, n)] * len(target_sites)
     solution = feasible_nonneg_solution(rows, rhs)
     if solution is None:
@@ -91,7 +86,7 @@ def decompose(mask: int) -> DecompositionCertificate | None:
     the certificate mapped back through the symmetry group."""
     if not lattice.is_ppt(mask):
         raise ValueError("decomposition is only attempted for PPT subsets")
-    canon = symmetry.canonical_form(mask).canonical
+    canon = symmetry.canonical(mask)
     cert = _decompose_direct(canon)
     if cert is None:
         return None
@@ -131,62 +126,3 @@ def verify_certificate(cert: DecompositionCertificate, tol: float = 1e-12) -> bo
     for m, w in cert.weights.items():
         mix += float(w) * build_lattice_state(m)
     return bool(np.abs(mix - build_lattice_state(cert.target)).max() <= tol)
-
-
-def _solve_exact(cols: list[list[Fraction]], rhs: list[Fraction]):
-    """Gaussian elimination for the square-ish system given by columns."""
-    m = len(rhs)
-    n = len(cols)
-    aug = [[cols[j][i] for j in range(n)] + [rhs[i]] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
-            return None  # dependent column set: skip, handled by caller
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if aug[i][-1] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for row, c in enumerate(pivots):
-        x[c] = aug[row][-1]
-    return x
-
-
-def brute_force_decomposable(mask: int) -> bool:
-    """Independent feasibility oracle: enumerate basic solutions.
-
-    A feasible equality system with nonnegativity has a basic feasible
-    solution supported on at most m linearly independent columns, so
-    enumerating all column subsets up to that size is a complete check.
-    Intended for small targets (the candidate count explodes otherwise).
-    """
-    n = lattice.cardinality(mask)
-    if n == 0:
-        raise lattice.EmptySubsetError("no lattice state for the empty subset")
-    candidates = [j for j in build_basis() if j & ~mask == 0]
-    target_sites = lattice.sites(mask)
-    m = len(target_sites)
-    rhs = [Fraction(4, n)] * m
-    col_of = {
-        j: [
-            Fraction(1) if j >> (4 * a + b) & 1 else Fraction(0)
-            for a, b in target_sites
-        ]
-        for j in candidates
-    }
-    for size in range(1, min(m, len(candidates)) + 1):
-        for subset in itertools.combinations(candidates, size):
-            x = _solve_exact([col_of[j] for j in subset], rhs)
-            if x is not None and all(v >= 0 for v in x):
-                return True
-    return False

@@ -1,49 +1,117 @@
-"""Exact-rational phase-1 simplex for equality-constrained feasibility.
+"""Exact phase-1 simplex for equality-constrained feasibility, on integers.
 
-Solves: find x >= 0 with A x = b, everything in Fraction arithmetic.
-Bland's rule keeps the pivoting finite; "infeasible" is therefore a
-theorem about the constraint system, not a numeric judgement.
+Solves: find x >= 0 with A x = b, for rational A and b.  Bland's rule
+keeps the pivoting finite, and every "infeasible" is returned only with
+a Farkas vector checked in exact arithmetic, so both answers are
+theorems about the constraint system, not numeric judgements.
+
+The tableau is fraction-free (Bareiss, Math. Comp. 22, 1968; Edmonds'
+integer-preserving Gauss-Jordan).  Each row is sign-flipped so that its
+right-hand side is nonnegative; the whole tableau ``[A | I | b]``,
+identity columns included, is scaled by ``L``, the lcm of all
+denominators, and the common denominator starts at ``D = 1``.  A pivot
+on ``(r, e)`` replaces every other row ``i``, the cost row included, by
+``(T[r][e]·T[i] - T[i][e]·T[r]) // D``, leaves row ``r`` as it is and
+sets ``D = T[r][e] > 0``.  The division is exact: by Sylvester's
+identity every entry it yields is, up to sign, a determinant formed
+from rows and columns of the initial integer tableau.  (Starting from
+``D = L`` instead would break this on rational input.)
+
+Why this repeats the rational tableau ``R`` pivot for pivot: if row
+``r`` has scale ``a`` (``T[r] = a·R[r]``) and row ``i`` scale ``c``,
+the update gives ``T'[i] = (a·c/D)·R[r][e]·R'[i]`` with
+``D' = a·R[r][e]``, so ``T'[i]/D'`` is ``R'[i]`` times ``c/D``.  The
+pivot row becomes ``T[r]/D' = R'[r]`` exactly.  Hence ``T/D == R`` on
+every row that has been a pivot row, and ``T/D == L·R`` on the rows
+never pivoted and on the cost row.  Only positive factors separate the
+two, so the signs of the reduced costs, the ratio comparisons
+(cross-multiplied within two rows) and Bland's tie-break see exactly
+what the rational simplex sees; a structural basic variable sits in a
+row that was pivoted, so ``x_j = T[i][-1] / D``.
+
+Farkas vector: phase 1 ends with every reduced cost ``C[j] >= 0``.
+With ``pi`` the final dual of the sign-flipped rows, the artificial
+column ``n+i`` has reduced cost ``1 - pi_i`` and ``C[n+i] = L·D·(1 -
+pi_i)``, so ``y_i = s_i·(C[n+i] - L·D)``, with ``s_i`` row i's sign
+flip, is ``-L·D·pi`` in the caller's frame: ``yᵀA >= 0`` because the
+structural reduced costs are nonnegative, and ``yᵀb < 0`` because the
+artificial sum stayed positive.  Such a ``y`` proves that no ``x >= 0``
+solves the system, since ``0 <= yᵀA x = yᵀb < 0``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from numbers import Rational
 
-__all__ = ["feasible_nonneg_solution"]
+from .lattice import ConsistencyError
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+__all__ = ["feasible_nonneg_solution", "is_farkas_certificate"]
 
 
 def feasible_nonneg_solution(
-    a_rows: list[list[Fraction]], b: list[Fraction]
+    a_rows: list[list[Rational]], b: list[Rational]
 ) -> list[Fraction] | None:
-    """A nonnegative exact solution of A x = b, or None if none exists."""
+    """A nonnegative exact solution of A x = b, or None if none exists.
+
+    Entries are ints or Fractions.  None is returned only after a Farkas
+    vector for the system passed ``is_farkas_certificate``.
+    """
+    x, y = _phase1(a_rows, b)
+    if x is None and not is_farkas_certificate(a_rows, b, y):
+        raise ConsistencyError("phase 1 ended infeasible without a Farkas vector")
+    return x
+
+
+def is_farkas_certificate(
+    a_rows: list[list[Rational]], b: list[Rational], y: list[int]
+) -> bool:
+    """True when yᵀA >= 0 and yᵀb < 0, checked exactly: then A x = b has
+    no solution with x >= 0."""
+    if len(y) != len(a_rows):
+        return False
+    scale = _lcm_of_denominators(a_rows, b)
+    rows = _scaled(a_rows, scale)
+    rhs = _scaled([b], scale)[0]
+    if sum(yi * bi for yi, bi in zip(y, rhs)) >= 0:
+        return False
+    return all(sum(yi * v for yi, v in zip(y, col)) >= 0 for col in zip(*rows))
+
+
+def _lcm_of_denominators(a_rows, b) -> int:
+    dens = {x.denominator for row in a_rows for x in row}
+    dens.update(x.denominator for x in b)
+    return math.lcm(*dens)
+
+
+def _scaled(rows, scale: int) -> list[list[int]]:
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+
+
+def _phase1(a_rows, b) -> tuple[list[Fraction] | None, list[int] | None]:
+    """(x, None) with x a basic feasible solution, or (None, y) with y
+    a Farkas vector read off the final cost row."""
     m = len(a_rows)
     if m == 0:
-        return []
+        return [], None
     n = len(a_rows[0])
+    scale = _lcm_of_denominators(a_rows, b)
+    signs = [-1 if bi < 0 else 1 for bi in b]
 
-    # Phase-1 tableau: [A | I_artificial | b], artificials basic.
+    # Phase-1 tableau L·[A | I_artificial | b], rows flipped to b >= 0,
+    # artificials basic.
     tab = []
-    for i in range(m):
-        row = [Fraction(x) for x in a_rows[i]]
-        bi = Fraction(b[i])
-        if bi < 0:
-            row = [-x for x in row]
-            bi = -bi
-        row += [_ONE if j == i else _ZERO for j in range(m)] + [bi]
-        tab.append(row)
+    rhs = _scaled([b], scale)[0]
+    for i, (row, s) in enumerate(zip(_scaled(a_rows, scale), signs)):
+        unit = [0] * m
+        unit[i] = scale
+        tab.append([s * v for v in row] + unit + [s * rhs[i]])
     basis = list(range(n, n + m))
-
-    width = n + m + 1
     # Reduced-cost row for minimizing the sum of artificials.
-    cost = [_ZERO] * width
-    for i in range(m):
-        for j in range(width):
-            cost[j] -= tab[i][j]
-    for i in range(m):
-        cost[n + i] = _ZERO
+    cost = [-sum(col) for col in zip(*tab)]
+    cost[n:n + m] = [0] * m
+    d = 1
 
     while True:
         # Bland: entering = lowest-index column with negative reduced cost.
@@ -52,46 +120,46 @@ def feasible_nonneg_solution(
             break
         # Ratio test, ties broken by lowest basis index (Bland).
         leave = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
+        for i, row in enumerate(tab):
+            if row[enter] > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                best = tab[leave]
+                here, there = row[-1] * best[enter], best[-1] * row[enter]
+                if here < there or (here == there and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise ArithmeticError("phase-1 objective unbounded below")
-        _pivot(tab, cost, basis, leave, enter)
+        d = _pivot(tab, cost, basis, leave, enter, d)
 
-    if -cost[-1] != 0:  # minimum of artificial sum
-        return None
-    x = [_ZERO] * n
+    if cost[-1] != 0:  # the minimum of the artificial sum is positive
+        y = [s * (cost[n + i] - scale * d) for i, s in enumerate(signs)]
+        return None, y
+    x = [Fraction(0)] * n
     for i, bj in enumerate(basis):
         if bj < n:
-            x[bj] = tab[i][-1]
-        elif tab[i][-1] != 0:  # pragma: no cover - guarded by objective test
-            return None
-    return x
+            x[bj] = Fraction(tab[i][-1], d)
+    return x, None
 
 
-def _pivot(tab, cost, basis, leave: int, enter: int) -> None:
-    piv = tab[leave][enter]
+def _pivot(tab, cost, basis, leave: int, enter: int, d: int) -> int:
+    """One Bareiss pivot in place; returns the new common denominator."""
     prow = tab[leave]
-    inv = _ONE / piv
-    for j in range(len(prow)):
-        prow[j] *= inv
-    for i in range(len(tab)):
-        if i == leave:
-            continue
-        factor = tab[i][enter]
-        if factor:
-            row = tab[i]
-            for j in range(len(row)):
-                row[j] -= factor * prow[j]
-    factor = cost[enter]
-    if factor:
-        for j in range(len(cost)):
-            cost[j] -= factor * prow[j]
+    piv = prow[enter]
+    for i, row in enumerate(tab):
+        if i != leave:
+            tab[i] = _eliminate(row, prow, piv, d, enter)
+    cost[:] = _eliminate(cost, prow, piv, d, enter)
     basis[leave] = enter
+    return piv
+
+
+def _eliminate(row, prow, piv: int, d: int, enter: int) -> list[int]:
+    """(piv·row - row[enter]·prow) // d, exact by the Bareiss identity."""
+    factor = row[enter]
+    if factor == 0:
+        if piv == d:
+            return row
+        return [piv * v // d for v in row]
+    return [(piv * v - factor * p) // d for v, p in zip(row, prow)]

@@ -87,11 +87,6 @@ def test_census_records_are_canonical_and_sorted(n6_records):
         assert r.orbit_size * symmetry.canonical_form(r.canonical).stabilizer_order == 1152
 
 
-def test_census_threads_match(n6_records):
-    parallel = classifier.census(min_n=6, max_n=6, threads=2)
-    assert parallel == n6_records
-
-
 def test_jsonl_and_csv_serialization(n6_records):
     lines = classifier.census_to_jsonl(n6_records).strip().split("\n")
     assert len(lines) == len(n6_records)

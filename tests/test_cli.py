@@ -60,8 +60,6 @@ def test_bad_tolerance_rejected(capsys):
     code, _, err = run(capsys, "--tolerance", "0.5", "classify", RHO6)
     assert code == 2
     assert "tolerance" in err
-    code, _, err = run(capsys, "--threads", "0", "classify", RHO6)
-    assert code == 2
 
 
 def test_render_forms(capsys):
@@ -125,7 +123,7 @@ def test_census_subcommand(capsys, tmp_path):
 
 
 def test_verify_subcommand(capsys):
-    code, out, _ = run(capsys, "verify", "--full")
+    code, out, _ = run(capsys, "verify")
     assert code == 0
     assert "OK" in out
 

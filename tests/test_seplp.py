@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lattice16 import lattice, seplp, symmetry
+from lp_oracles import brute_force_decomposable
 from separable_basis import is_exact_product_ensemble, product_ensemble
 
 random.seed(13)
@@ -154,7 +155,7 @@ def test_brute_force_agrees_with_simplex_small():
         if n > 6 or not lattice.is_ppt(mask):
             continue
         lp = seplp.decompose(mask) is not None
-        brute = seplp.brute_force_decomposable(mask)
+        brute = brute_force_decomposable(mask)
         assert lp == brute, f"0x{mask:04X}"
         checked += 1
     assert checked == 372

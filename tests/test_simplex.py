@@ -1,7 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lattice16 import classifier, seplp, simplex
+from lattice16.lattice import ConsistencyError
 from lattice16.simplex import feasible_nonneg_solution
+from lp_oracles import fraction_simplex
 
 random.seed(3)
 
@@ -82,3 +89,118 @@ def test_exactness_no_rounding():
     b = [F(1), F(10**9)]
     x = _check(a, b)
     assert x == [F(10**9), F(0)]
+
+
+# --- The integer tableau against the Fraction reference -----------------
+
+
+@pytest.fixture(scope="module")
+def census_lps():
+    """The (A, b) of every LP a full census solves, in order."""
+    systems = []
+
+    def record(a_rows, b):
+        systems.append((a_rows, b))
+        return simplex.feasible_nonneg_solution(a_rows, b)
+
+    seplp._decompose_direct.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seplp, "feasible_nonneg_solution", record)
+        classifier.census()
+    seplp._decompose_direct.cache_clear()  # nothing recorded stays cached
+    return systems
+
+
+def _integer_run(monkeypatch, a_rows, b):
+    """The integer solver's solution and its (leave, enter) pivots."""
+    pivots = []
+    real = simplex._pivot
+
+    def counting(tab, cost, basis, leave, enter, d):
+        pivots.append((leave, enter))
+        return real(tab, cost, basis, leave, enter, d)
+
+    monkeypatch.setattr(simplex, "_pivot", counting)
+    try:
+        return feasible_nonneg_solution(a_rows, b), pivots
+    finally:
+        monkeypatch.setattr(simplex, "_pivot", real)
+
+
+def test_census_lp_counts(census_lps, monkeypatch):
+    # The figures the benchmark's traced census checks.
+    results = [_integer_run(monkeypatch, a, b) for a, b in census_lps]
+    assert len(results) == 52
+    assert sum(len(pivots) for _, pivots in results) == 601
+    assert sum(x is None for x, _ in results) == 8
+
+
+def test_census_lps_match_fraction_simplex(census_lps, monkeypatch):
+    for a_rows, b in census_lps:
+        x, pivots = _integer_run(monkeypatch, a_rows, b)
+        ref_pivots = []
+        assert x == fraction_simplex(a_rows, b, ref_pivots)
+        assert pivots == ref_pivots
+
+
+def test_census_infeasible_lps_have_farkas_vectors(census_lps):
+    infeasible = 0
+    for a_rows, b in census_lps:
+        x, y = simplex._phase1(a_rows, b)
+        if x is None:
+            infeasible += 1
+            assert simplex.is_farkas_certificate(a_rows, b, y)
+    assert infeasible == 8
+
+
+def _rational_system(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    entry = st.builds(F, st.integers(-4, 4), st.integers(1, 6))
+    a = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):  # plant a nonnegative solution
+        planted = [draw(st.builds(F, st.integers(0, 3), st.integers(1, 4)))
+                   for _ in range(n)]
+        b = [sum(c * v for c, v in zip(row, planted)) for row in a]
+    else:
+        b = [draw(st.builds(F, st.integers(-5, 5), st.integers(1, 5)))
+             for _ in range(m)]
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_random_systems_match_fraction_simplex(data):
+    a_rows, b = _rational_system(data.draw)
+    ref_pivots = []
+    expected = fraction_simplex(a_rows, b, ref_pivots)
+    with pytest.MonkeyPatch.context() as mp:
+        x, pivots = _integer_run(mp, a_rows, b)
+    assert x == expected
+    assert pivots == ref_pivots
+    if x is None:
+        _, y = simplex._phase1(a_rows, b)
+        assert simplex.is_farkas_certificate(a_rows, b, y)
+
+
+def test_tampered_farkas_vector_rejected(census_lps):
+    a_rows, b = next((a, b) for a, b in census_lps if simplex._phase1(a, b)[0] is None)
+    _, y = simplex._phase1(a_rows, b)
+    assert simplex.is_farkas_certificate(a_rows, b, y)
+    assert not simplex.is_farkas_certificate(a_rows, b, [-v for v in y])  # yᵀb > 0
+    assert not simplex.is_farkas_certificate(a_rows, b, [0] * len(y))
+    assert not simplex.is_farkas_certificate(a_rows, b, y[:-1])
+    # Keep yᵀb < 0 (b > 0 here) but drive one column of yᵀA negative.
+    i = next(i for i, row in enumerate(a_rows) if any(row))
+    bent = list(y)
+    bent[i] -= 1 + sum(abs(v) for v in y)
+    assert sum(v * bi for v, bi in zip(bent, b)) < 0
+    assert not simplex.is_farkas_certificate(a_rows, b, bent)
+
+
+def test_infeasible_without_farkas_vector_raises(monkeypatch):
+    a, b = [[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)]
+    assert feasible_nonneg_solution(a, b) is None
+    monkeypatch.setattr(simplex, "_phase1", lambda a_rows, rhs: (None, [1, 1]))
+    with pytest.raises(ConsistencyError):
+        feasible_nonneg_solution(a, b)
