@@ -86,7 +86,7 @@ def decompose(mask: int) -> DecompositionCertificate | None:
     the certificate mapped back through the symmetry group."""
     if not lattice.is_ppt(mask):
         raise ValueError("decomposition is only attempted for PPT subsets")
-    canon = symmetry.canonical(mask)
+    canon = symmetry.canonical_form(mask).canonical
     cert = _decompose_direct(canon)
     if cert is None:
         return None

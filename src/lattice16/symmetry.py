@@ -22,7 +22,6 @@ __all__ = [
     "generators",
     "group",
     "act",
-    "canonical",
     "canonical_form",
     "find_mapping",
     "canonical_map_all",
@@ -220,18 +219,6 @@ def orbit_size_table() -> np.ndarray:
     sizes = np.bincount(canon, minlength=len(canon)).astype(np.uint16)[canon]
     sizes.setflags(write=False)
     return sizes
-
-
-def canonical(mask: int) -> int:
-    """The minimal mask of the orbit of mask.
-
-    Read from canonical_table() once something has built it (the census
-    has), else from this mask's own images, so that a few lookups neither
-    build the whole-space table nor, in the census, the group closure.
-    """
-    if canonical_table.cache_info().currsize:
-        return int(canonical_table()[mask])
-    return canonical_form(mask).canonical
 
 
 def canonical_map_all() -> list[int]:

@@ -70,17 +70,6 @@ def test_canonical_table_against_group_action():
         assert sizes[mask] == len(orbit)
         rec = symmetry.canonical_form(mask)
         assert (rec.canonical, rec.orbit_size) == (min(orbit), len(orbit))
-        assert symmetry.canonical(mask) == min(orbit)
-
-
-def test_canonical_before_the_table_is_built():
-    masks = random.Random(7).sample(range(ALL), 200)
-    symmetry.canonical_table.cache_clear()
-    from_images = [symmetry.canonical(m) for m in masks]
-    assert symmetry.canonical_table.cache_info().currsize == 0
-    canon = symmetry.canonical_table()
-    assert from_images == [int(canon[m]) for m in masks]
-    assert [symmetry.canonical(m) for m in masks] == from_images
 
 
 def test_canonical_map_all_is_the_table():
