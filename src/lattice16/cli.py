@@ -112,7 +112,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = dense.oracle_sweep(seed=args.seed, tol=args.tolerance)
+    report = dense.oracle_sweep(tol=args.tolerance)
     ok = not report["disagreements"]
     print(
         f"swept {report['masks_swept']} subsets, "
@@ -136,7 +136,10 @@ def _global_flags(suppress: bool) -> argparse.ArgumentParser:
         return argparse.SUPPRESS if suppress else value
 
     flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--seed", type=int, default=default(0))
+    flags.add_argument(
+        "--seed", type=int, default=default(0),
+        help="no effect; accepted so that older command lines still run",
+    )
     flags.add_argument("--tolerance", type=float, default=default(1e-9))
     flags.add_argument("--out", default=default(None))
     flags.add_argument("--format", choices=["json", "ascii"], default=default("json"))

@@ -8,7 +8,7 @@ incur no rounding as long as no division by a non-power-of-two occurs.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -39,21 +39,20 @@ _SIGMA = (
 EPSILON = np.diag([1.0, 1.0, -1.0, 1.0])
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def pauli(alpha: int) -> np.ndarray:
     """The 2x2 Pauli matrix s_alpha, with s_0 the identity."""
     return _SIGMA[alpha].copy()
 
 
-@lru_cache(maxsize=None)
-def _sigma_pair(alpha: int, beta: int) -> np.ndarray:
-    m = np.kron(_SIGMA[alpha], _SIGMA[beta])
-    m.setflags(write=False)
-    return m
-
-
+@cache
 def sigma_pair(alpha: int, beta: int) -> np.ndarray:
-    """The 4x4 tensor product s_alpha (x) s_beta."""
-    return _sigma_pair(alpha, beta).copy()
+    """The 4x4 tensor product s_alpha (x) s_beta (cached, read-only)."""
+    return _frozen(np.kron(_SIGMA[alpha], _SIGMA[beta]))
 
 
 def psi_plus() -> np.ndarray:
@@ -64,50 +63,34 @@ def psi_plus() -> np.ndarray:
     return v
 
 
-@lru_cache(maxsize=None)
-def _psi_pair(alpha: int, beta: int) -> np.ndarray:
-    v = np.kron(np.eye(4), _sigma_pair(alpha, beta)) @ psi_plus()
-    v.setflags(write=False)
-    return v
-
-
+@cache
 def psi_pair(alpha: int, beta: int) -> np.ndarray:
-    """Basis vector (I_4 (x) s_ab) |psi_plus>."""
-    return _psi_pair(alpha, beta).copy()
+    """Basis vector (I_4 (x) s_ab) |psi_plus> (cached, read-only)."""
+    return _frozen(np.kron(np.eye(4), sigma_pair(alpha, beta)) @ psi_plus())
 
 
-@lru_cache(maxsize=None)
-def _projector(alpha: int, beta: int) -> np.ndarray:
-    v = _psi_pair(alpha, beta)
-    p = np.outer(v, v.conj())
-    p.setflags(write=False)
-    return p
-
-
+@cache
 def projector(alpha: int, beta: int) -> np.ndarray:
-    """Rank-1 projector P_ab onto psi_pair(alpha, beta)."""
-    return _projector(alpha, beta).copy()
+    """Rank-1 projector P_ab onto psi_pair(alpha, beta) (cached, read-only)."""
+    v = psi_pair(alpha, beta)
+    return _frozen(np.outer(v, v.conj()))
 
 
-@lru_cache(maxsize=None)
-def _eta(alpha: int) -> np.ndarray:
-    """eta^a_{bm} = Tr(s_a s_b s_m) / 2; Hermitian and unitary as a 4x4."""
+@cache
+def eta(alpha: int) -> np.ndarray:
+    """eta^a_{bm} = Tr(s_a s_b s_m) / 2; Hermitian and unitary as a 4x4
+    (cached, read-only)."""
     t = np.empty((4, 4), dtype=complex)
     for b in range(4):
         for m in range(4):
             t[b, m] = np.trace(_SIGMA[alpha] @ _SIGMA[b] @ _SIGMA[m]) / 2.0
-    t.setflags(write=False)
-    return t
+    return _frozen(t)
 
 
-def eta(alpha: int) -> np.ndarray:
-    return _eta(alpha).copy()
-
-
-@lru_cache(maxsize=None)
+@cache
 def index_map(alpha: int) -> tuple[int, int, int, int]:
     """i_alpha(beta): the unique m with s_a s_b proportional to s_m."""
-    t = _eta(alpha)
+    t = eta(alpha)
     out = []
     for b in range(4):
         nz = [m for m in range(4) if abs(t[b, m]) > 0.5]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import lattice
 
-__all__ = ["masks", "cardinality", "ppt_margin", "ppt"]
+__all__ = ["masks", "cardinality", "k_table", "ppt_margin", "ppt"]
 
 _BYTE_WEIGHT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
@@ -39,10 +39,11 @@ def cardinality() -> np.ndarray:
 
 
 @functools.cache
-def ppt_margin() -> np.ndarray:
-    """max over sites (a, b) of 2 * cross_count(mask, a, b) - N (int16).
+def k_table() -> np.ndarray:
+    """The k-matrix of every mask (uint8, shape (65536, 16)).
 
-    A nonempty mask is PPT iff its margin is at most 0.
+    Column 4*mu + nu is k[mu][nu]: the cross count through the shifted
+    site (mu+2, nu+2), as in :func:`lattice.k_matrix`.
     """
     m = masks()
 
@@ -51,12 +52,22 @@ def ppt_margin() -> np.ndarray:
 
     cols = [_BYTE_WEIGHT[m >> 4 * a & 0xF] for a in range(4)]
     rows = [bit(b) + bit(4 + b) + bit(8 + b) + bit(12 + b) for b in range(4)]
-    # uint8 is safe: a site in I adds 1 to both its row and its column.
-    widest = np.zeros(len(m), dtype=np.uint8)
-    for a in range(4):
-        for b in range(4):
-            np.maximum(widest, cols[a] + rows[b] - 2 * bit(4 * a + b), out=widest)
-    return _frozen(2 * widest.astype(np.int16) - cardinality())
+    k = np.empty((len(m), 16), dtype=np.uint8)
+    for mu in range(4):
+        for nu in range(4):
+            a, b = mu ^ 2, nu ^ 2
+            # uint8 is safe: a site in I adds 1 to both its row and its column.
+            k[:, 4 * mu + nu] = cols[a] + rows[b] - 2 * bit(4 * a + b)
+    return _frozen(k)
+
+
+@functools.cache
+def ppt_margin() -> np.ndarray:
+    """max over sites (a, b) of 2 * cross_count(mask, a, b) - N (int16).
+
+    A nonempty mask is PPT iff its margin is at most 0.
+    """
+    return _frozen(2 * k_table().max(axis=1).astype(np.int16) - cardinality())
 
 
 @functools.cache

@@ -86,7 +86,7 @@ def pauli_coefficients(m: np.ndarray) -> np.ndarray:
     c = np.empty((4, 4), dtype=complex)
     for a in range(4):
         for b in range(4):
-            c[a, b] = np.trace(pauli._sigma_pair(a, b) @ m) / 4.0
+            c[a, b] = np.trace(pauli.sigma_pair(a, b) @ m) / 4.0
     return c
 
 
@@ -130,10 +130,10 @@ def canonical_v_for(
         raise ValueError("contributing site coincides with the cross center")
     if beta == b2 and alpha != a2:
         g = pauli.index_map(mu)[alpha]
-        return VMatrix(pauli._sigma_pair(g, 2), label=f"sigma_{g}2")
+        return VMatrix(pauli.sigma_pair(g, 2), label=f"sigma_{g}2")
     if alpha == a2 and beta != b2:
         d = pauli.index_map(nu)[beta]
-        return VMatrix(pauli._sigma_pair(2, d), label=f"sigma_2{d}")
+        return VMatrix(pauli.sigma_pair(2, d), label=f"sigma_2{d}")
     raise ValueError("contributing site is not on the cross")
 
 
@@ -163,7 +163,7 @@ def _dense_tilde_diagonal(
     out = apply_id_tensor_phi(v, rho)
     iv = np.kron(np.eye(4), v.matrix)
     tilde = iv.conj().T @ out @ iv
-    psi = pauli._psi_pair(mu, nu)
+    psi = pauli.psi_pair(mu, nu)
     return float(np.real(psi.conj() @ tilde @ psi))
 
 
@@ -227,4 +227,4 @@ def random_admissible_v(rng: np.random.Generator) -> VMatrix:
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, r = np.linalg.qr(z)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return VMatrix(q @ pauli._sigma_pair(2, 0) @ q.T, label="random")
+    return VMatrix(q @ pauli.sigma_pair(2, 0) @ q.T, label="random")

@@ -38,10 +38,10 @@ def census_table(census_records):
 
 
 def test_criterion_01_oracle_sweep(capsys):
-    report = dense.oracle_sweep(n_random=1000, seed=0, tol=1e-9)
+    report = dense.oracle_sweep(tol=1e-9)
     ok = (
         report["masks_swept"] == 65535
-        and report["spectra_checked"] >= 1000
+        and report["spectra_checked"] == 65535
         and report["disagreements"] == []
     )
     _report(

@@ -123,9 +123,11 @@ def test_census_subcommand(capsys, tmp_path):
 
 
 def test_verify_subcommand(capsys):
-    code, out, _ = run(capsys, "verify")
-    assert code == 0
-    assert "OK" in out
+    # perfbench passes --seed and parses this exact line.
+    for argv in (["verify"], ["--seed", "271828", "verify"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == "swept 65535 subsets, 65535 spectra compared: OK\n"
 
 
 def test_global_flags_after_subcommand(capsys, tmp_path):

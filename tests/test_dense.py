@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lattice16 import dense, lattice
+from lattice16 import dense, lattice, pauli, tables
 
 RNG = np.random.default_rng(1)
 
@@ -51,9 +51,43 @@ def test_partial_transpose_on_kron():
     ).max() < 1e-12
 
 
-def test_hermitian_eigenvalues_rejects_nonhermitian():
-    with pytest.raises(ValueError):
-        dense.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_partial_transpose_on_stacks():
+    stack = RNG.normal(size=(2, 3, 16, 16))
+    pts = dense.partial_transpose(stack)
+    assert pts.shape == stack.shape
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(pts[i, j], dense.partial_transpose(stack[i, j]))
+
+
+def test_projector_stack_rejects_imaginary_part(monkeypatch):
+    stack = dense.projector_stack()
+    assert stack.dtype == np.float64 and not stack.flags.writeable
+    for a, b in pauli.ALL_SITES:
+        assert np.array_equal(stack[4 * a + b], pauli.projector(a, b))
+    tilted = pauli.projector(1, 2) * np.exp(1e-3j)
+    monkeypatch.setattr(
+        pauli, "projector", lambda a, b: tilted if (a, b) == (1, 2) else stack[4 * a + b]
+    )
+    dense.projector_stack.cache_clear()
+    try:
+        with pytest.raises(lattice.ConsistencyError):
+            dense.projector_stack()
+    finally:
+        dense.projector_stack.cache_clear()
+
+
+def test_partially_transposed_projectors_are_diagonal():
+    # The 16 exact identities P_ab^Gamma = sum_mn d * P_mn, with d = -1/4
+    # when (a, b) lies on the cross through (mu+2, nu+2), centre excluded,
+    # and d = +1/4 otherwise.  rho_I^Gamma is linear in the mask bits, so
+    # they prove the closed-form spectrum for every mask.
+    for a, b in pauli.ALL_SITES:
+        expected = np.zeros((16, 16))
+        for mu, nu in pauli.ALL_SITES:
+            on_cross = (a == mu ^ 2) != (b == nu ^ 2)
+            expected += (-0.25 if on_cross else 0.25) * pauli.projector(mu, nu).real
+        assert np.array_equal(dense.partial_transpose(pauli.projector(a, b)), expected)
 
 
 def test_pt_spectrum_matches_analytic_random():
@@ -84,6 +118,17 @@ def test_pt_min_eigenvalues_all_consistency():
 
 
 def test_oracle_sweep_small():
-    report = dense.oracle_sweep(n_random=50, seed=3)
-    assert report["masks_swept"] == lattice.FULL_MASK
+    report = dense.oracle_sweep(tol=1e-9)
+    assert report["masks_swept"] == report["spectra_checked"] == lattice.FULL_MASK
     assert report["disagreements"] == []
+
+
+def test_oracle_sweep_reports_broken_tables(monkeypatch):
+    ppt = tables.ppt().copy()
+    ppt[0x1357] = not ppt[0x1357]
+    k = tables.k_table().copy()
+    k[0x0F0F, 5] += 1
+    monkeypatch.setattr(tables, "ppt", lambda: ppt)
+    monkeypatch.setattr(tables, "k_table", lambda: k)
+    report = dense.oracle_sweep(tol=1e-9)
+    assert report["disagreements"] == [("ppt_sign", 0x1357), ("spectrum", 0x0F0F)]

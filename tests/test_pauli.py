@@ -39,6 +39,13 @@ def test_sigma_pair_basics():
     assert np.abs(m - m.conj().T).max() == 0
 
 
+def test_cached_arrays_are_read_only():
+    for get in (pauli.sigma_pair, pauli.psi_pair, pauli.projector):
+        m = get(1, 2)
+        assert m is get(1, 2) and not m.flags.writeable
+    assert not pauli.eta(2).flags.writeable
+
+
 def test_psi_plus_norm_and_shape():
     v = pauli.psi_plus()
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)

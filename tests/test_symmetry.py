@@ -18,6 +18,25 @@ def test_group_order():
     assert len(symmetry.group()) == 1152
 
 
+def test_generators_generate_the_group():
+    # The derivation of group(): the breadth-first closure of the 13
+    # generators is exactly (S4 x S4) x| Z2, element for element and in
+    # the same order, on which find_mapping's choice of element depends.
+    seen = {symmetry.IDENTITY}
+    frontier = [symmetry.IDENTITY]
+    while frontier:
+        nxt = []
+        for el in frontier:
+            for g in symmetry.generators():
+                cand = g.compose(el)
+                if cand not in seen:
+                    seen.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    closure = sorted(seen, key=lambda e: (e.swap_axes, e.col_perm, e.row_perm))
+    assert closure == symmetry.group()
+
+
 def test_group_closure_and_inverses():
     grp = set(symmetry.group())
     sample = random.sample(sorted(grp, key=str), 40)

@@ -28,8 +28,17 @@ def test_lattice_tables_match_scalar_functions():
         )
 
 
+def test_k_table_matches_k_matrix():
+    k = tables.k_table()
+    assert (k.dtype, k.shape) == (np.uint8, (ALL, 16))
+    k = k.tolist()
+    for mask in range(ALL):
+        assert k[mask] == [x for row in lattice.k_matrix(mask) for x in row]
+
+
 def test_tables_are_read_only():
-    for table in (tables.masks(), tables.cardinality(), tables.ppt_margin(),
+    for table in (tables.masks(), tables.cardinality(), tables.k_table(),
+                  tables.ppt_margin(),
                   tables.ppt(), symmetry.canonical_table(),
                   symmetry.orbit_size_table()):
         assert not table.flags.writeable
