@@ -8,7 +8,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import dense, lattice, seplp, symmetry, tables, witness
+from . import lattice, seplp, symmetry, tables, witness
 from .lattice import ConsistencyError
 
 __all__ = [
@@ -88,11 +88,7 @@ def _violating_site(mask: int) -> tuple[int, int]:
     raise ConsistencyError("no violating site on a non-PPT subset")
 
 
-def classify(
-    mask: int,
-    numeric_check: bool = False,
-    dense_witness_check: bool = True,
-) -> Classification:
+def classify(mask: int) -> Classification:
     """Assign a label with machine-checkable evidence.
 
     Decision order: maximally mixed, NPT by the cross criterion, the
@@ -105,22 +101,14 @@ def classify(
     if n == 16:
         return Classification(Label.SEPARABLE, Justification.MAXIMALLY_MIXED)
     if not lattice.is_ppt(mask):
-        site = _violating_site(mask)
-        if numeric_check:
-            min_eig = float(dense.pt_spectrum(mask)[0])
-            if not min_eig < -1e-9:
-                raise ConsistencyError(
-                    f"NPT verdict for 0x{mask:04X} not confirmed numerically: "
-                    f"minimum PT eigenvalue {min_eig}"
-                )
         return Classification(
             Label.NPT_ENTANGLED,
             Justification.PROP1A_VIOLATION,
-            {"violating_site": list(site)},
+            {"violating_site": list(_violating_site(mask))},
         )
     if n == 15:
         return Classification(Label.SEPARABLE, Justification.ISOTROPIC_N15)
-    reports = witness.witness_scan(mask, dense_check=dense_witness_check)
+    reports = witness.witness_scan(mask)
     if reports:
         prop1b = lattice.prop1b_entangled(mask)
         evidence = {"witness": reports[0].to_json(), "witness_count": len(reports)}
@@ -144,7 +132,7 @@ def classify(
 
 
 def _classify_record(canonical: int, orbit_size: int) -> CensusRecord:
-    cls = classify(canonical, dense_witness_check=False)
+    cls = classify(canonical)
     if cls.label is Label.PPT_ENTANGLED:
         # Consistency triangle: a witnessed state must never also admit
         # a separability certificate.

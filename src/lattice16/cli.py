@@ -18,8 +18,7 @@ def _parse_subset_or_exit(text: str) -> int:
         raise SystemExit(2)
 
 
-def _emit(payload, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -27,13 +26,16 @@ def _emit(payload, args) -> None:
         print(text)
 
 
+def _emit(payload, args) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True), args)
+
+
 def cmd_classify(args) -> int:
     mask = _parse_subset_or_exit(args.subset)
     if args.format == "ascii":
-        print(classify_mod.explain(mask))
-        return 0
-    cls = classify_mod.classify(mask, numeric_check=args.numeric_double_check)
-    _emit(cls.to_json(), args)
+        _write(classify_mod.explain(mask), args)
+    else:
+        _emit(classify_mod.classify(mask).to_json(), args)
     return 0
 
 
@@ -107,7 +109,7 @@ def cmd_ptspectrum(args) -> int:
 
 def cmd_render(args) -> int:
     mask = _parse_subset_or_exit(args.subset)
-    print(lattice.render_subset(mask, args.form))
+    _write(lattice.render_subset(mask, args.form), args)
     return 0
 
 
@@ -143,10 +145,6 @@ def _global_flags(suppress: bool) -> argparse.ArgumentParser:
     flags.add_argument("--tolerance", type=float, default=default(1e-9))
     flags.add_argument("--out", default=default(None))
     flags.add_argument("--format", choices=["json", "ascii"], default=default("json"))
-    flags.add_argument(
-        "--numeric-double-check", action="store_true", default=default(False),
-        help="re-verify NPT verdicts with a dense eigensolve",
-    )
     return flags
 
 

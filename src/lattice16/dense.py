@@ -8,7 +8,8 @@ Every projector P_ab is real, and rho_I is a real combination of them,
 so the whole module works in real dtype.  Each partially transposed
 projector is exactly +-1/4 sum_mn P_mn, which makes the closed-form
 spectrum {1/4 - k_mn/(2N)} hold for every mask; the sweep checks it
-numerically on all of them.
+numerically on all of them, and checks the k=1 witness value -1/(2N)
+on every witnessed mask.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import functools
 
 import numpy as np
 
-from . import lattice, pauli, tables
+from . import lattice, pauli, tables, witness
 
 __all__ = [
     "projector_stack",
@@ -33,14 +34,8 @@ __all__ = [
 
 @functools.cache
 def projector_stack() -> np.ndarray:
-    """(16, 16, 16) real array of the projectors P_ab, indexed by 4*a + b.
-
-    Raises ConsistencyError unless every imaginary part is exactly 0.0.
-    """
+    """(16, 16, 16) real array of the projectors P_ab, indexed by 4*a + b."""
     s = np.stack([pauli.projector(a, b) for a, b in pauli.ALL_SITES])
-    if np.any(s.imag != 0.0):
-        raise lattice.ConsistencyError("a lattice projector is not real")
-    s = np.ascontiguousarray(s.real)
     s.setflags(write=False)
     return s
 
@@ -114,9 +109,47 @@ def pt_min_eigenvalues_all() -> np.ndarray:
     return _pt_spectra(tables.masks()[1:])[:, 0]
 
 
+def _tilde_diagonal(rho: np.ndarray, v: witness.VMatrix) -> np.ndarray:
+    """<psi_mn| (I x V^dag) (id x Phi_V)[rho] (I x V) |psi_mn> for every
+    (mu, nu), by the dense operator route: a real (..., 4, 4) array for a
+    stack of shape (..., 16, 16)."""
+    iv = np.kron(np.eye(4), v.matrix)
+    tilde = iv.conj().T @ witness.apply_id_tensor_phi(v, rho) @ iv
+    psi = np.stack([pauli.psi_pair(mu, nu) for mu, nu in pauli.ALL_SITES])
+    diag = np.einsum("ki,...ij,kj->...k", psi.conj(), tilde, psi).real
+    return diag.reshape(*rho.shape[:-2], 4, 4)
+
+
+def _witness_values() -> tuple[np.ndarray, np.ndarray]:
+    """(masks, dense values) for every k=1 site of every PPT mask, one
+    entry per (mask, site), with the contributor and V of witness_scan.
+
+    weight[c, mn, s] is the dense value of P_s at the diagonal site
+    (mu, nu) when site c is the one point of I on the cross through
+    (mu+2, nu+2); it is computed once per canonical V.
+    """
+    a, b = np.divmod(np.arange(16), 4)
+    on_cross = (a == (a ^ 2)[:, None]) != (b == (b ^ 2)[:, None])  # [mn, s]
+    per_v, weight = {}, np.zeros((16, 16, 16))
+    for mn, c in zip(*np.nonzero(on_cross)):
+        v = witness.canonical_v_for((a[c], b[c]), (a[mn] ^ 2, b[mn] ^ 2))
+        key = v.matrix.tobytes()
+        if key not in per_v:
+            per_v[key] = _tilde_diagonal(projector_stack(), v)
+        weight[c, mn] = per_v[key][:, a[mn], b[mn]]
+    ppt = np.flatnonzero(tables.ppt())
+    rows, sites = np.nonzero(tables.k_table()[ppt] == 1)
+    masks = ppt[rows]
+    bits = masks[:, None] >> np.arange(16) & 1
+    contributor = np.argmax(bits & on_cross[sites], axis=1)
+    values = (weight[contributor, sites] * bits).sum(axis=1)
+    return masks, values / tables.cardinality()[masks]
+
+
 def oracle_sweep(tol: float = 1e-9) -> dict:
-    """Cross-validate the combinatorial PPT criterion and the analytic
-    PT spectrum against dense numerics on every nonempty mask.
+    """Cross-validate the combinatorial PPT criterion, the analytic PT
+    spectrum and the k=1 witness value against dense numerics on every
+    nonempty mask.
 
     Returns a report dict; ``report["disagreements"]`` is empty on success.
     """
@@ -135,8 +168,14 @@ def oracle_sweep(tol: float = 1e-9) -> dict:
     disagreements = [
         (kind, int(i) + 1) for kind, bad in checks for i in np.flatnonzero(bad)
     ]
+    witnessed, values = _witness_values()
+    bound = -1.0 / (2.0 * tables.cardinality()[witnessed])
+    disagreements += [
+        ("witness", int(m)) for m in np.unique(witnessed[np.abs(values - bound) > tol])
+    ]
     return {
         "masks_swept": len(masks),
         "spectra_checked": len(spectra),
+        "witnesses_checked": len(values),
         "disagreements": disagreements,
     }

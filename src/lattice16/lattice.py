@@ -50,6 +50,8 @@ class ConsistencyError(AssertionError):
 
 
 _HEX_MASK = re.compile(r"0[xX][0-9a-fA-F]{1,4}")
+# One pair: two single ASCII digits 0-3, whitespace allowed around each.
+_PAIR = re.compile(r"\s*([0-3])\s*,\s*([0-3])\s*")
 
 
 def site_bit(alpha: int, beta: int) -> int:
@@ -151,7 +153,8 @@ def diag_state_is_ppt(pi) -> bool:
 
 def parse_subset(text: str) -> int:
     """Parse a subset from grid form "r3/r2/r1/r0" (rows beta=3 first,
-    'X' marks a site), pair-list form "a,b;a,b;...", or hex "0xNNNN"."""
+    'X' marks a site), pair-list form "a,b;a,b;..." (each coordinate one
+    ASCII digit 0-3), or hex "0xNNNN"."""
     text = text.strip()
     if not text:
         raise SubsetParseError("empty subset description")
@@ -178,16 +181,10 @@ def parse_subset(text: str) -> int:
         return mask
     mask = 0
     for chunk in text.split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise SubsetParseError(f"bad pair {chunk!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise SubsetParseError(f"bad pair {chunk!r}") from exc
-        if not (0 <= a <= 3 and 0 <= b <= 3):
-            raise SubsetParseError(f"pair {chunk!r} out of range")
-        bit = site_bit(a, b)
+        pair = _PAIR.fullmatch(chunk)
+        if pair is None:
+            raise SubsetParseError(f"bad pair {chunk!r}: need two digits 0-3")
+        bit = site_bit(int(pair[1]), int(pair[2]))
         if mask & bit:
             raise SubsetParseError(f"duplicate pair {chunk!r}")
         mask |= bit

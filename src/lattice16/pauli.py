@@ -4,6 +4,7 @@ All matrices built here have entries in {0, +-1, +-i, +-1/2, +-1/4}.
 Every such value is exactly representable in binary floating point, so
 numpy complex arrays double as exact objects: sums and products of them
 incur no rounding as long as no division by a non-power-of-two occurs.
+The projectors P_ab are real, and are returned as real arrays.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from functools import cache
 
 import numpy as np
+
+from .lattice import ConsistencyError
 
 __all__ = [
     "pauli",
@@ -20,7 +23,6 @@ __all__ = [
     "projector",
     "eta",
     "index_map",
-    "flip_operator",
     "EPSILON",
     "ALL_SITES",
 ]
@@ -71,9 +73,13 @@ def psi_pair(alpha: int, beta: int) -> np.ndarray:
 
 @cache
 def projector(alpha: int, beta: int) -> np.ndarray:
-    """Rank-1 projector P_ab onto psi_pair(alpha, beta) (cached, read-only)."""
+    """Rank-1 projector P_ab onto psi_pair(alpha, beta), real float64
+    (cached, read-only); ConsistencyError unless exactly real."""
     v = psi_pair(alpha, beta)
-    return _frozen(np.outer(v, v.conj()))
+    p = np.outer(v, v.conj())
+    if np.any(p.imag != 0.0):
+        raise ConsistencyError(f"projector P_{alpha}{beta} is not real")
+    return _frozen(np.ascontiguousarray(p.real))
 
 
 @cache
@@ -99,11 +105,3 @@ def index_map(alpha: int) -> tuple[int, int, int, int]:
         out.append(nz[0])
     return tuple(out)
 
-
-def flip_operator() -> np.ndarray:
-    """F on C^16 with F(x (x) y) = y (x) x for 4-vectors x, y."""
-    f = np.zeros((16, 16), dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            f[4 * b + a, 4 * a + b] = 1.0
-    return f

@@ -4,16 +4,19 @@ Phi_V[B] = Tr(B) I_4 - B - V B^T V*  with V unitary and antisymmetric.
 Partially applied to the second party of a lattice state, its matrix
 elements in the entangled basis are controlled by the k-matrix; a site
 with k = 1 admits a single-Pauli V giving the value -1/(2N).
+
+Every value here is computed in closed form; :func:`lattice16.dense.oracle_sweep`
+checks the k=1 witness by the dense operator route on every subset.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lattice, pauli
-from .dense import build_lattice_state
 from .lattice import ConsistencyError
 
 __all__ = [
@@ -33,14 +36,15 @@ __all__ = [
 @dataclass(frozen=True)
 class VMatrix:
     """An admissible 4x4 unitary antisymmetric matrix with its Pauli
-    expansion (supported only on slots (a,2) and (2,b), a,b != 2)."""
+    expansion (supported only on slots (a,2) and (2,b), a,b != 2).
+    Both arrays are read-only copies."""
 
     matrix: np.ndarray
     label: str = "general"
     coefficients: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError("V must be 4x4")
         if np.abs(m @ m.conj().T - np.eye(4)).max() > 1e-12:
@@ -48,13 +52,11 @@ class VMatrix:
         if np.abs(m.T + m).max() > 1e-12:
             raise ValueError("V is not antisymmetric")
         c = pauli_coefficients(m)
-        support = np.abs(c) > 1e-12
-        for a in range(4):
-            for b in range(4):
-                if support[a, b] and not ((b == 2) ^ (a == 2)):
-                    raise ValueError(
-                        "V has Pauli support outside the antisymmetric slots"
-                    )
+        two = np.arange(4) == 2
+        if np.any((np.abs(c) > 1e-12) & (two[:, None] == two)):
+            raise ValueError("V has Pauli support outside the antisymmetric slots")
+        m.setflags(write=False)
+        c.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "coefficients", c)
 
@@ -83,11 +85,9 @@ class WitnessReport:
 
 def pauli_coefficients(m: np.ndarray) -> np.ndarray:
     """Expansion coefficients v[a][b] of a 4x4 matrix over sigma_ab."""
-    c = np.empty((4, 4), dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            c[a, b] = np.trace(pauli.sigma_pair(a, b) @ m) / 4.0
-    return c
+    return np.array(
+        [[np.trace(pauli.sigma_pair(a, b) @ m) / 4 for b in range(4)] for a in range(4)]
+    )
 
 
 def theta_v(v: VMatrix, b: np.ndarray) -> np.ndarray:
@@ -101,23 +101,27 @@ def phi_v(v: VMatrix, b: np.ndarray) -> np.ndarray:
 
 
 def apply_id_tensor_phi(v: VMatrix, rho: np.ndarray) -> np.ndarray:
-    """Apply Phi_V to the second factor of a 16x16 bipartite operator."""
-    blocks = rho.reshape(4, 4, 4, 4)  # (i, a, j, b): block (i,j), entry (a,b)
-    traces = np.einsum("iaja->ij", blocks)
+    """Apply Phi_V to the second factor of a 16x16 bipartite operator, or
+    of each one in a stack of shape (..., 16, 16)."""
+    lead = rho.shape[:-2]
+    blocks = rho.reshape(*lead, 4, 4, 4, 4)  # (i, a, j, b): block (i,j), entry (a,b)
+    traces = np.einsum("...iaja->...ij", blocks)
     vm = v.matrix
-    theta = np.einsum("ca,ibja,db->icjd", vm, blocks, vm.conj())
-    out = (
-        np.einsum("ij,ab->iajb", traces, np.eye(4))
-        - blocks
-        - theta
-    )
-    return out.reshape(16, 16)
+    theta = np.einsum("ca,...ibja,db->...icjd", vm, blocks, vm.conj())
+    out = np.einsum("...ij,ab->...iajb", traces, np.eye(4)) - blocks - theta
+    return out.reshape(*lead, 16, 16)
+
+
+@functools.cache
+def _single_pauli_v(a: int, b: int) -> VMatrix:
+    return VMatrix(pauli.sigma_pair(a, b), label=f"sigma_{a}{b}")
 
 
 def canonical_v_for(
     contributing: tuple[int, int], center: tuple[int, int]
 ) -> VMatrix:
-    """The single-Pauli V witnessing a k=1 cross.
+    """The single-Pauli V witnessing a k=1 cross (one of six cached
+    objects).
 
     ``center`` is the cross center (mu+2, nu+2) and ``contributing`` the
     one point of I on the cross (center excluded).  The row case picks
@@ -129,11 +133,9 @@ def canonical_v_for(
     if contributing == center:
         raise ValueError("contributing site coincides with the cross center")
     if beta == b2 and alpha != a2:
-        g = pauli.index_map(mu)[alpha]
-        return VMatrix(pauli.sigma_pair(g, 2), label=f"sigma_{g}2")
+        return _single_pauli_v(pauli.index_map(mu)[alpha], 2)
     if alpha == a2 and beta != b2:
-        d = pauli.index_map(nu)[beta]
-        return VMatrix(pauli.sigma_pair(2, d), label=f"sigma_2{d}")
+        return _single_pauli_v(2, pauli.index_map(nu)[beta])
     raise ValueError("contributing site is not on the cross")
 
 
@@ -156,58 +158,33 @@ def phi_v_tilde_diagonal(
     return k / (2.0 * n) - absorbed / n
 
 
-def _dense_tilde_diagonal(
-    rho: np.ndarray, mu: int, nu: int, v: VMatrix
-) -> float:
-    """Same diagonal element via the dense operator route."""
-    out = apply_id_tensor_phi(v, rho)
-    iv = np.kron(np.eye(4), v.matrix)
-    tilde = iv.conj().T @ out @ iv
-    psi = pauli.psi_pair(mu, nu)
-    return float(np.real(psi.conj() @ tilde @ psi))
-
-
-def witness_scan(
-    mask: int, dense_check: bool = True, tol: float = 1e-10
-) -> list[WitnessReport]:
+def witness_scan(mask: int) -> list[WitnessReport]:
     """All k=1 sites of a PPT subset with their canonical witnesses.
 
-    Each report carries the value computed in closed form; with
-    ``dense_check`` the dense operator route must agree within ``tol``.
-    Empty when no k-matrix entry equals 1.
+    Each report carries the value computed in closed form, which must
+    equal -1/(2N) exactly.  Empty when no k-matrix entry equals 1.
     """
     if not lattice.is_ppt(mask):
         raise ValueError("witness scan is only defined for PPT subsets")
     n = lattice.cardinality(mask)
     k = lattice.k_matrix(mask)
-    rho = build_lattice_state(mask) if dense_check else None
     reports = []
     for mu in range(4):
         for nu in range(4):
             if k[mu][nu] != 1:
                 continue
             a2, b2 = mu ^ 2, nu ^ 2
-            cross = [(a, b2) for a in range(4) if a != a2] + [
-                (a2, b) for b in range(4) if b != b2
-            ]
-            points = [s for s in cross if mask >> (4 * s[0] + s[1]) & 1]
+            points = [(a, b) for a, b in lattice.sites(mask) if (a == a2) != (b == b2)]
             if len(points) != 1:
                 raise ConsistencyError(
                     f"k=1 at {(mu, nu)} but {len(points)} contributors on its cross"
                 )
             v = canonical_v_for(points[0], (a2, b2))
             value = phi_v_tilde_diagonal(mask, mu, nu, v)
-            if abs(value + 1.0 / (2 * n)) > tol:
+            if value != -1.0 / (2 * n):
                 raise ConsistencyError(
                     f"canonical witness value {value} != -1/(2*{n})"
                 )
-            if dense_check:
-                dense_value = _dense_tilde_diagonal(rho, mu, nu, v)
-                if abs(dense_value - value) > tol:
-                    raise ConsistencyError(
-                        "closed-form and dense witness values disagree: "
-                        f"{value} vs {dense_value}"
-                    )
             reports.append(
                 WitnessReport(
                     site=(mu, nu),

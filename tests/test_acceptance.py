@@ -42,12 +42,14 @@ def test_criterion_01_oracle_sweep(capsys):
     ok = (
         report["masks_swept"] == 65535
         and report["spectra_checked"] == 65535
+        and report["witnesses_checked"] == 5088
         and report["disagreements"] == []
     )
     _report(
         capsys, 1, ok,
         f"combinatorial PPT vs dense eigensolve on {report['masks_swept']} "
         f"subsets, {report['spectra_checked']} full spectra, "
+        f"{report['witnesses_checked']} k=1 witness values, "
         f"{len(report['disagreements'])} disagreements",
     )
 
@@ -82,7 +84,7 @@ def test_criterion_03_illustrative_subsets(capsys, grids):
     for name in right:
         mask = grids[name]
         ok &= lattice.prop1b_entangled(mask) is None
-        ok &= len(witness.witness_scan(mask, dense_check=False)) > 0
+        ok &= len(witness.witness_scan(mask)) > 0
     _report(
         capsys, 3, ok,
         "six illustrative subsets PPT-entangled; unit-cross sites on the "
@@ -102,7 +104,7 @@ def test_criterion_04_k1_witness_everywhere(capsys):
         count += 1
         n = lattice.cardinality(mask)
         bound = -1.0 / (2 * n)
-        reports = witness.witness_scan(mask, dense_check=False)
+        reports = witness.witness_scan(mask)
         ok &= bool(reports)
         ok &= all(abs(r.value - bound) <= 1e-10 for r in reports)
         v = witness.canonical_v_for(reports[0].contributing_site, reports[0].center)
@@ -203,7 +205,7 @@ def test_criterion_08_open_cases_undecided(capsys, grids):
     for name in ("open_n8", "open_n9", "open_n10", "open_n11"):
         mask = grids[name]
         ok &= lattice.is_ppt(mask)
-        ok &= witness.witness_scan(mask, dense_check=False) == []
+        ok &= witness.witness_scan(mask) == []
         ok &= lattice.prop1b_entangled(mask) is None
         rho = dense.build_lattice_state(mask)
         for v in vs:
@@ -235,8 +237,8 @@ def test_criterion_09_symmetry_group(capsys):
     for _ in range(1000):
         mask = rnd.randrange(1, lattice.FULL_MASK + 1)
         g = rnd.choice(grp)
-        a = classifier.classify(mask, dense_witness_check=False)
-        b = classifier.classify(symmetry.act(g, mask), dense_witness_check=False)
+        a = classifier.classify(mask)
+        b = classifier.classify(symmetry.act(g, mask))
         if a.label is not b.label:
             ok = False
             break
@@ -258,7 +260,7 @@ def test_criterion_10_census_consistency(capsys, census_records):
                 ok = False
                 break
         if r.label is Label.SEPARABLE and r.justification is Justification.LP_CERTIFICATE:
-            if witness.witness_scan(r.canonical, dense_check=False):
+            if witness.witness_scan(r.canonical):
                 ok = False
                 break
     _report(

@@ -2,9 +2,10 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
-from lattice16 import classifier, lattice, symmetry
+from lattice16 import classifier, lattice, symmetry, tables
 from lattice16.classifier import Justification, Label
 
 random.seed(17)
@@ -27,14 +28,6 @@ def test_full_and_n15():
     cls = classifier.classify(lattice.FULL_MASK & ~1)
     assert cls.label is Label.SEPARABLE
     assert cls.justification is Justification.ISOTROPIC_N15
-
-
-def test_npt_with_numeric_check():
-    cls = classifier.classify(0xF, numeric_check=True)
-    assert cls.label is Label.NPT_ENTANGLED
-    assert cls.justification is Justification.PROP1A_VIOLATION
-    a, b = cls.evidence["violating_site"]
-    assert 2 * lattice.cross_count(0xF, a, b) > 4
 
 
 def test_examples_are_ppt_entangled(grids):
@@ -64,10 +57,40 @@ def test_label_invariant_under_symmetry():
     for _ in range(40):
         mask = random.randrange(1, lattice.FULL_MASK + 1)
         g = random.choice(symmetry.group())
-        a = classifier.classify(mask, dense_witness_check=False)
-        b = classifier.classify(symmetry.act(g, mask), dense_witness_check=False)
+        a = classifier.classify(mask)
+        b = classifier.classify(symmetry.act(g, mask))
         assert a.label == b.label
         assert a.justification == b.justification
+
+
+def test_npt_evidence():
+    cls = classifier.classify(0xF)
+    assert cls.label is Label.NPT_ENTANGLED
+    assert cls.justification is Justification.PROP1A_VIOLATION
+    a, b = cls.evidence["violating_site"]
+    assert 2 * lattice.cross_count(0xF, a, b) > 4
+
+
+def test_census_invariant_over_tables():
+    # The census decides one mask per orbit; the rule below decides every
+    # mask from the integer tables alone, with no symmetry reduction.
+    n = tables.cardinality()
+    ppt = tables.ppt()
+    witnessed = ppt & (n < 15) & (tables.k_table() == 1).any(axis=1)
+    assert int(witnessed.sum()) == 2688
+    codes = [Label.NPT_ENTANGLED, Label.PPT_ENTANGLED, Label.SEPARABLE, Label.UNKNOWN]
+    expected = np.where(~ppt, 0, np.where(witnessed, 1, 2))[1:]
+    records = classifier.census()
+    summary = classifier.summary_table(records)
+    for size in range(1, 17):
+        counts = np.bincount(expected[n[1:] == size], minlength=4)
+        assert summary[size] == {
+            label.value: int(c) for label, c in zip(codes, counts)
+        }, size
+    by_canonical = np.full(lattice.FULL_MASK + 1, -1)
+    for r in records:
+        by_canonical[r.canonical] = codes.index(r.label)
+    assert np.array_equal(by_canonical[symmetry.canonical_table()][1:], expected)
 
 
 def test_census_n6(n6_records):

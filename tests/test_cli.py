@@ -38,10 +38,11 @@ def test_classify_ascii(capsys):
     assert "k-matrix" in out
 
 
-def test_classify_numeric_double_check(capsys):
-    code, out, _ = run(capsys, "--numeric-double-check", "classify", "0x000F")
-    assert code == 0
-    assert json.loads(out)["label"] == "NPT_ENTANGLED"
+def test_numeric_double_check_flag_is_gone(capsys):
+    # The dense NPT check runs on every subset in `verify`, not per call.
+    code, out, err = run(capsys, "--numeric-double-check", "classify", "0x000F")
+    assert code == 2
+    assert out == "" and "--numeric-double-check" in err
 
 
 def test_classify_parse_error(capsys):
@@ -70,6 +71,22 @@ def test_render_forms(capsys):
     assert out.strip() == "0x8001"
     code, out, _ = run(capsys, "render", RHO6, "--form", "grid")
     assert out.strip() == RHO6
+
+
+def test_render_and_ascii_classify_write_out(capsys, tmp_path):
+    out_path = tmp_path / "render.txt"
+    code, printed, _ = run(capsys, "render", "0x1", "--out", str(out_path))
+    assert code == 0 and printed == ""
+    assert out_path.read_text() == "3 | . . . .\n2 | . . . .\n1 | . . . .\n" \
+        "0 | X . . .\n  +--------\n    0 1 2 3\n"
+    out_path = tmp_path / "explain.txt"
+    code, printed, _ = run(
+        capsys, "--format", "ascii", "classify", "0x0EEE", "--out", str(out_path)
+    )
+    assert code == 0 and printed == ""
+    _, expected, _ = run(capsys, "--format", "ascii", "classify", "0x0EEE")
+    assert out_path.read_text() == expected
+    assert "SEPARABLE" in expected
 
 
 def test_orbit(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lattice16 import dense, lattice, pauli, tables
+from lattice16 import dense, lattice, pauli, tables, witness
 
 RNG = np.random.default_rng(1)
 
@@ -61,19 +61,27 @@ def test_partial_transpose_on_stacks():
 
 
 def test_projector_stack_rejects_imaginary_part(monkeypatch):
+    # pauli.projector checks that every imaginary part is exactly 0.0;
+    # the stack only stacks its real, read-only results.
     stack = dense.projector_stack()
     assert stack.dtype == np.float64 and not stack.flags.writeable
     for a, b in pauli.ALL_SITES:
-        assert np.array_equal(stack[4 * a + b], pauli.projector(a, b))
-    tilted = pauli.projector(1, 2) * np.exp(1e-3j)
+        p = pauli.projector(a, b)
+        assert p.dtype == np.float64 and not p.flags.writeable
+        assert np.array_equal(stack[4 * a + b], p)
+    tilted = pauli.psi_pair(1, 2).copy()
+    tilted[np.flatnonzero(tilted)[0]] *= np.exp(1e-3j)
+    psi_pair = pauli.psi_pair
     monkeypatch.setattr(
-        pauli, "projector", lambda a, b: tilted if (a, b) == (1, 2) else stack[4 * a + b]
+        pauli, "psi_pair", lambda a, b: tilted if (a, b) == (1, 2) else psi_pair(a, b)
     )
+    pauli.projector.cache_clear()
     dense.projector_stack.cache_clear()
     try:
         with pytest.raises(lattice.ConsistencyError):
             dense.projector_stack()
     finally:
+        pauli.projector.cache_clear()
         dense.projector_stack.cache_clear()
 
 
@@ -86,7 +94,7 @@ def test_partially_transposed_projectors_are_diagonal():
         expected = np.zeros((16, 16))
         for mu, nu in pauli.ALL_SITES:
             on_cross = (a == mu ^ 2) != (b == nu ^ 2)
-            expected += (-0.25 if on_cross else 0.25) * pauli.projector(mu, nu).real
+            expected += (-0.25 if on_cross else 0.25) * pauli.projector(mu, nu)
         assert np.array_equal(dense.partial_transpose(pauli.projector(a, b)), expected)
 
 
@@ -120,7 +128,22 @@ def test_pt_min_eigenvalues_all_consistency():
 def test_oracle_sweep_small():
     report = dense.oracle_sweep(tol=1e-9)
     assert report["masks_swept"] == report["spectra_checked"] == lattice.FULL_MASK
+    assert report["witnesses_checked"] == 5088
     assert report["disagreements"] == []
+    assert len(np.unique(dense._witness_values()[0])) == 2688
+
+
+def test_oracle_sweep_reports_wrong_witness(monkeypatch):
+    # A V that ignores the contributor gives a wrong dense witness value
+    # on the masks whose contributor needs another Pauli slot.
+    monkeypatch.setattr(
+        witness, "canonical_v_for",
+        lambda contributing, center: witness.VMatrix(pauli.sigma_pair(2, 0)),
+    )
+    report = dense.oracle_sweep(tol=1e-9)
+    kinds = {kind for kind, _ in report["disagreements"]}
+    assert kinds == {"witness"}
+    assert 0 < len(report["disagreements"]) <= 2688
 
 
 def test_oracle_sweep_reports_broken_tables(monkeypatch):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lattice16 import lattice
 
@@ -170,11 +172,36 @@ def test_parse_hex_needs_one_to_four_digits():
     assert lattice.parse_subset("  0x0010 ") == 16
 
 
-def test_render_round_trip():
-    for _ in range(200):
-        mask = random.randrange(1, lattice.FULL_MASK + 1)
-        for form in ("grid", "pairs", "hex"):
-            assert lattice.parse_subset(lattice.render_subset(mask, form)) == mask
+def test_parse_pairs_needs_single_ascii_digits():
+    # int() alone would accept underscores, signs, leading zeros and
+    # non-ASCII digits such as the Arabic-Indic three.
+    for bad in ("0_1,0_2", "+1,-0", "\u0663,1", "00,3", "1,2;03,0", "1,\uff12",
+                "1 2,3", "1,,2"):
+        with pytest.raises(lattice.SubsetParseError):
+            lattice.parse_subset(bad)
+    assert lattice.parse_subset(" 1 , 2 ") == lattice.site_bit(1, 2)
+    assert lattice.parse_subset("1 ,2; 3, 0") == (
+        lattice.site_bit(1, 2) | lattice.site_bit(3, 0)
+    )
+
+
+SUBSET_ALPHABET = "0123456789abcdefxX./,;_+- \t\n\u0663\uff12"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet=SUBSET_ALPHABET)))
+def test_parse_subset_fuzz(text):
+    try:
+        mask = lattice.parse_subset(text)
+    except lattice.SubsetParseError:
+        return
+    assert isinstance(mask, int) and 0 <= mask <= lattice.FULL_MASK
+
+
+@given(st.integers(0, lattice.FULL_MASK), st.sampled_from(["grid", "pairs", "hex"]))
+def test_render_round_trip(mask, form):
+    assume(mask or form != "pairs")  # the empty pair list is the empty string
+    assert lattice.parse_subset(lattice.render_subset(mask, form)) == mask
 
 
 def test_render_table_and_unknown_form():

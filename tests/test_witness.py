@@ -99,11 +99,49 @@ def test_closed_form_matches_dense_random():
     for _ in range(10):
         mask = int(RNG.integers(1, lattice.FULL_MASK + 1))
         v = witness.random_admissible_v(RNG)
-        rho = dense.build_lattice_state(mask)
+        dense_vals = dense._tilde_diagonal(dense.build_lattice_state(mask), v)
         for mu, nu in ((0, 0), (1, 3), (2, 2)):
             closed = witness.phi_v_tilde_diagonal(mask, mu, nu, v)
-            dense_val = witness._dense_tilde_diagonal(rho, mu, nu, v)
-            assert closed == pytest.approx(dense_val, abs=1e-10)
+            assert closed == pytest.approx(dense_vals[mu, nu], abs=1e-10)
+
+
+# The six single-Pauli V of the k=1 witness: sigma_g2 and sigma_2d.
+CANONICAL_SLOTS = [(g, 2) for g in (0, 1, 3)] + [(2, d) for d in (0, 1, 3)]
+
+
+def test_canonical_witness_identities():
+    # For each canonical V, site s and (mu, nu), the dense value
+    # <psi_mn| (I x V^dag) (id x Phi_V)[P_s] (I x V) |psi_mn> equals
+    # [s on the cross through (mu+2, nu+2), centre excluded] / 2
+    # - [(i_mu(a), i_nu(b)) is the Pauli slot of V], exactly.  rho_I is
+    # linear in the projectors, so these 1,536 identities prove
+    # phi_v_tilde_diagonal for every subset and each canonical V.
+    for slot in CANONICAL_SLOTS:
+        v = witness.VMatrix(pauli.sigma_pair(*slot))
+        for a, b in pauli.ALL_SITES:
+            expected = np.zeros((4, 4))
+            for mu, nu in pauli.ALL_SITES:
+                on_cross = (a == mu ^ 2) != (b == nu ^ 2)
+                absorbed = (pauli.index_map(mu)[a], pauli.index_map(nu)[b]) == slot
+                expected[mu, nu] = on_cross / 2 - absorbed
+                single = 1 << (4 * a + b)
+                assert witness.phi_v_tilde_diagonal(single, mu, nu, v) == expected[mu, nu]
+            got = dense._tilde_diagonal(pauli.projector(a, b), v)
+            assert np.array_equal(got, expected), (slot, a, b)
+
+
+def test_canonical_v_objects_are_cached_and_read_only():
+    seen = {}
+    for mu, nu in pauli.ALL_SITES:
+        center = (mu ^ 2, nu ^ 2)
+        for site in pauli.ALL_SITES:
+            if (site[0] == center[0]) == (site[1] == center[1]):
+                continue
+            v = witness.canonical_v_for(site, center)
+            assert seen.setdefault(v.label, v) is v
+            assert not v.matrix.flags.writeable
+            assert not v.coefficients.flags.writeable
+    assert sorted(seen) == sorted(f"sigma_{a}{b}" for a, b in CANONICAL_SLOTS)
 
 
 def test_witness_scan_examples(grids):
