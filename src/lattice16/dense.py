@@ -10,6 +10,12 @@ projector is exactly +-1/4 sum_mn P_mn, which makes the closed-form
 spectrum {1/4 - k_mn/(2N)} hold for every mask; the sweep checks it
 numerically on all of them, and checks the k=1 witness value -1/(2N)
 on every witnessed mask.
+
+The numeric spectra use an exact block split: with the basis states
+|i j> sorted by i ^ j, 4N rho_I^Gamma is four symmetric integer 4x4
+blocks, and only 625 distinct blocks occur over all 65,535 masks.
+LAPACK's eigvalsh runs once per distinct block, and each mask's
+spectrum is gathered from those eigenvalues.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from . import lattice, pauli, tables, witness
 __all__ = [
     "projector_stack",
     "build_lattice_state",
-    "build_diag_state",
     "partial_transpose",
     "pt_spectrum",
     "analytic_pt_spectrum",
@@ -49,17 +54,16 @@ def build_lattice_state(mask: int) -> np.ndarray:
     return projector_stack()[idx].sum(axis=0) / n
 
 
-def build_diag_state(pi) -> np.ndarray:
-    """rho_pi = sum pi_ab P_ab for a 4x4 probability table."""
-    weights = np.array(lattice.validate_probability_table(pi), dtype=float)
-    return np.tensordot(weights.reshape(16), projector_stack(), axes=1)
-
-
 def partial_transpose(m: np.ndarray) -> np.ndarray:
     """Transpose the second 4-dimensional tensor factor of each 16x16
     matrix in a stack of shape (..., 16, 16)."""
     lead = m.shape[:-2]
     return m.reshape(*lead, 4, 4, 4, 4).swapaxes(-3, -1).reshape(*lead, 16, 16)
+
+
+def _bits(masks: np.ndarray) -> np.ndarray:
+    """(len, 16) 0/1 int64 table: bit s of each mask."""
+    return masks[:, None] >> np.arange(16) & 1
 
 
 def _cardinalities(masks: np.ndarray) -> np.ndarray:
@@ -69,19 +73,61 @@ def _cardinalities(masks: np.ndarray) -> np.ndarray:
     return n
 
 
+@functools.cache
+def _pt_blocks() -> np.ndarray:
+    """(16, 4, 16) int64 table: 4 P_s^Gamma as four 4x4 diagonal blocks.
+
+    With the basis states |i j> sorted by i ^ j (stable), every scaled
+    P_s^Gamma has entries in {-1, 0, 1} inside the four blocks and
+    exactly 0.0 outside them; block c is flattened row-major into
+    table[s, c].  Raises ConsistencyError if that structure fails.
+    """
+    i, j = np.divmod(np.arange(16), 4)
+    order = np.argsort(i ^ j, kind="stable")
+    scaled = 4 * partial_transpose(projector_stack())[:, order][:, :, order]
+    tiles = scaled.reshape(16, 4, 4, 4, 4).swapaxes(2, 3)  # [s, row block, col block]
+    blocks = tiles[:, np.arange(4), np.arange(4)]
+    if (
+        tiles[:, ~np.eye(4, dtype=bool)].any()
+        or not np.isin(blocks, (-1.0, 0.0, 1.0)).all()
+        or not np.array_equal(blocks, blocks.swapaxes(-1, -2))
+    ):
+        raise lattice.ConsistencyError(
+            "partially transposed projectors are not symmetric integer blocks"
+        )
+    table = blocks.astype(np.int64).reshape(16, 4, 16)
+    table.setflags(write=False)
+    return table
+
+
 def _pt_spectra(masks: np.ndarray, chunk: int = 4096) -> np.ndarray:
     """Ascending spectra of rho_I^Gamma, one row per mask, shape (len, 16).
 
-    rho_I^Gamma = sum over s in I of P_s^Gamma / N, so the partial
-    transpose is taken once, on the projector stack.
+    4N rho_I^Gamma is the sum over s in I of the integer blocks of
+    :func:`_pt_blocks`, so it is four symmetric integer 4x4 blocks with
+    entries in [-16, 16].  Each (mask, block) pair is keyed by its 10
+    upper-triangle entries as balanced base-33 digits, which is
+    injective; eigvalsh runs once per distinct key, and the eigenvalues
+    are gathered back and divided by 4N.
     """
     counts = _cardinalities(masks)
-    pts = partial_transpose(projector_stack()).reshape(16, 256)
+    table = _pt_blocks()
+    upper = np.ravel_multi_index(np.triu_indices(4), (4, 4))
+    weights = table[:, :, upper] @ 33 ** np.arange(10)  # (16, 4)
+    keys = np.empty((len(masks), 4), dtype=np.int64)
+    for lo in range(0, len(masks), chunk):
+        keys[lo : lo + chunk] = _bits(masks[lo : lo + chunk]) @ weights
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rows, cols = np.divmod(first, 4)
+    distinct = np.einsum("ks,skj->kj", _bits(masks[rows]), table[:, cols])
+    eigs = np.linalg.eigvalsh(distinct.reshape(-1, 4, 4).astype(float))
+    inverse = inverse.reshape(-1, 4)
     out = np.empty((len(masks), 16))
     for lo in range(0, len(masks), chunk):
         hi = lo + chunk
-        weights = (masks[lo:hi, None] >> np.arange(16) & 1) / counts[lo:hi, None]
-        out[lo:hi] = np.linalg.eigvalsh((weights @ pts).reshape(-1, 16, 16))
+        spectra = out[lo:hi]
+        spectra[:] = eigs[inverse[lo:hi]].reshape(-1, 16) / (4.0 * counts[lo:hi, None])
+        spectra.sort(axis=1)
     return out
 
 
@@ -140,7 +186,7 @@ def _witness_values() -> tuple[np.ndarray, np.ndarray]:
     ppt = np.flatnonzero(tables.ppt())
     rows, sites = np.nonzero(tables.k_table()[ppt] == 1)
     masks = ppt[rows]
-    bits = masks[:, None] >> np.arange(16) & 1
+    bits = _bits(masks)
     contributor = np.argmax(bits & on_cross[sites], axis=1)
     values = (weight[contributor, sites] * bits).sum(axis=1)
     return masks, values / tables.cardinality()[masks]

@@ -9,7 +9,6 @@ matching the orientation used throughout the accompanying figures.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 __all__ = [
     "FULL_MASK",
@@ -26,8 +25,6 @@ __all__ = [
     "kappa",
     "is_ppt",
     "prop1b_entangled",
-    "diag_state_is_ppt",
-    "validate_probability_table",
     "parse_subset",
     "render_subset",
 ]
@@ -124,31 +121,6 @@ def prop1b_entangled(mask: int) -> tuple[int, int] | None:
             if cross_count(mask, a, b) == 1:
                 return (a, b)
     return None
-
-
-def validate_probability_table(pi) -> list[list[Fraction]]:
-    """Coerce a 4x4 table to exact nonnegative fractions summing to 1."""
-    table = [[Fraction(pi[a][b]) for b in range(4)] for a in range(4)]
-    if any(x < 0 for r in table for x in r):
-        raise ValueError("probability table has a negative entry")
-    if sum(x for r in table for x in r) != 1:
-        raise ValueError("probability table does not sum to 1")
-    return table
-
-
-def diag_state_is_ppt(pi) -> bool:
-    """Exact PPT test for a diagonal-in-the-projector-basis state with
-    site weights pi[alpha][beta]."""
-    table = validate_probability_table(pi)
-    half = Fraction(1, 2)
-    for a in range(4):
-        for b in range(4):
-            cross = sum(table[a][d] for d in range(4) if d != b) + sum(
-                table[g][b] for g in range(4) if g != a
-            )
-            if cross > half:
-                return False
-    return True
 
 
 def parse_subset(text: str) -> int:

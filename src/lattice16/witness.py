@@ -114,7 +114,12 @@ def apply_id_tensor_phi(v: VMatrix, rho: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _single_pauli_v(a: int, b: int) -> VMatrix:
-    return VMatrix(pauli.sigma_pair(a, b), label=f"sigma_{a}{b}")
+    """sigma_ab as a VMatrix; ConsistencyError if it is not admissible,
+    since the slot comes from lattice16's own index maps."""
+    try:
+        return VMatrix(pauli.sigma_pair(a, b), label=f"sigma_{a}{b}")
+    except ValueError as exc:
+        raise ConsistencyError(f"sigma_{a}{b} is not an admissible V: {exc}") from exc
 
 
 def canonical_v_for(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lattice16 import cli
+from lattice16 import cli, pauli, witness
 
 ROOT = Path(__file__).resolve().parents[1]
 RHO6 = ".XX./.XX./.XX./...."
@@ -213,3 +213,31 @@ def test_consistency_failure_reported_under_optimize():
     assert proc.returncode == 1, proc.stderr
     assert "consistency violation" in proc.stderr
     assert "failed verification" in proc.stderr
+
+
+def test_verify_under_optimize():
+    # The block-split spectra in a fresh interpreter with asserts stripped.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "lattice16.cli", "verify"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "swept 65535 subsets, 65535 spectra compared: OK\n"
+
+
+def test_inadmissible_internal_v_is_consistency_violation(capsys, monkeypatch):
+    # An index map pointing at slot (2, 2) makes canonical_v_for build
+    # sigma_22, which is symmetric: lattice16's own data is at fault, so
+    # verify reports a consistency violation, not a traceback.  A bad V
+    # supplied by the caller is still a ValueError.
+    with pytest.raises(ValueError):
+        witness.VMatrix(pauli.sigma_pair(2, 2))
+    monkeypatch.setattr(pauli, "index_map", lambda alpha: (2, 2, 2, 2))
+    witness._single_pauli_v.cache_clear()
+    try:
+        code, out, err = run(capsys, "verify")
+    finally:
+        witness._single_pauli_v.cache_clear()
+    assert code == 1
+    assert "consistency violation" in err and "sigma_22" in err

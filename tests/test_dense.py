@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lattice16 import dense, lattice, pauli, tables, witness
+from diag_states import build_diag_state
+from lattice16 import cli, dense, lattice, pauli, tables, witness
 
 RNG = np.random.default_rng(1)
 
@@ -33,7 +34,7 @@ def test_build_diag_state_matches_uniform():
         ]
         for a in range(4)
     ]
-    assert np.abs(dense.build_diag_state(pi) - dense.build_lattice_state(mask)).max() < 1e-12
+    assert np.abs(build_diag_state(pi) - dense.build_lattice_state(mask)).max() < 1e-12
 
 
 def test_partial_transpose_involution_and_trace():
@@ -104,6 +105,57 @@ def test_pt_spectrum_matches_analytic_random():
         assert np.abs(
             dense.pt_spectrum(mask) - dense.analytic_pt_spectrum(mask)
         ).max() < 1e-10
+
+
+def test_pt_spectrum_matches_plain_dense_route(grids):
+    # The plain route: one 16x16 eigvalsh of the partially transposed
+    # state, with no block split.
+    rng = np.random.default_rng(2024)
+    masks = [
+        *grids.values(),
+        *(1 << s for s in range(16)),
+        lattice.FULL_MASK,
+        *(int(m) for m in rng.integers(1, lattice.FULL_MASK + 1, size=200)),
+    ]
+    for mask in masks:
+        plain = np.linalg.eigvalsh(dense.partial_transpose(dense.build_lattice_state(mask)))
+        assert np.abs(dense.pt_spectrum(mask) - plain).max() < 1e-12, hex(mask)
+
+
+def test_pt_spectra_independent_of_chunk_and_order():
+    masks = tables.masks()[1:]
+    spectra = dense._pt_spectra(masks)
+    assert np.array_equal(dense._pt_spectra(masks, chunk=1000), spectra)
+    order = np.random.default_rng(3).permutation(len(masks))
+    assert np.array_equal(dense._pt_spectra(masks[order], chunk=777), spectra[order])
+
+
+def test_pt_blocks_are_exact_integer_blocks():
+    table = dense._pt_blocks()
+    assert table.shape == (16, 4, 16) and not table.flags.writeable
+    blocks = table.reshape(16, 4, 4, 4)
+    assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
+    # 4N rho_I^Gamma takes 625 distinct integer blocks over all masks.
+    summed = np.einsum("ms,scj->mcj", dense._bits(tables.masks()[1:]), table)
+    summed = summed.reshape(-1, 16)
+    assert len(np.unique(summed, axis=0)) == 625
+
+
+def test_pt_blocks_rejects_entry_outside_blocks(monkeypatch, capsys):
+    # |00> and |01> lie in different i ^ j classes, so entry (0, 1) is
+    # outside every block.
+    bump = np.zeros((16, 16))
+    bump[0, 1] = bump[1, 0] = 0.25
+    partial_transpose = dense.partial_transpose
+    monkeypatch.setattr(dense, "partial_transpose", lambda m: partial_transpose(m) + bump)
+    dense._pt_blocks.cache_clear()
+    try:
+        with pytest.raises(lattice.ConsistencyError):
+            dense._pt_blocks()
+        assert cli.main(["verify"]) == 1
+        assert "consistency violation" in capsys.readouterr().err
+    finally:
+        dense._pt_blocks.cache_clear()
 
 
 def test_analytic_spectrum_values(grids):

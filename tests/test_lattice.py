@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from diag_states import diag_state_is_ppt, validate_probability_table
 from lattice16 import lattice
 
 random.seed(7)
@@ -109,7 +110,7 @@ def test_diag_state_is_ppt_uniform_matches():
             ]
             for a in range(4)
         ]
-        assert lattice.diag_state_is_ppt(pi) == lattice.is_ppt(mask)
+        assert diag_state_is_ppt(pi) == lattice.is_ppt(mask)
 
 
 def test_diag_state_nonuniform():
@@ -117,26 +118,26 @@ def test_diag_state_nonuniform():
     # (the cross through any neighbor on its row or column carries 1).
     pi = [[0] * 4 for _ in range(4)]
     pi[1][2] = 1
-    assert not lattice.diag_state_is_ppt(pi)
+    assert not diag_state_is_ppt(pi)
     # Full support, one site slightly heavy: the worst cross (through a
     # neighbor of the heavy site) carries 1/10 + 5 * 3/50 = 2/5 < 1/2.
     pi = [[Fraction(3, 50)] * 4 for _ in range(4)]
     pi[1][2] = Fraction(1, 10)
-    assert lattice.diag_state_is_ppt(pi)
+    assert diag_state_is_ppt(pi)
     # Tilt harder and the same cross reaches 3/10 + 5 * 7/150 = 8/15.
     pi = [[Fraction(7, 150)] * 4 for _ in range(4)]
     pi[1][2] = Fraction(3, 10)
-    assert not lattice.diag_state_is_ppt(pi)
+    assert not diag_state_is_ppt(pi)
 
 
 def test_validate_probability_table_errors():
     with pytest.raises(ValueError):
-        lattice.validate_probability_table([[Fraction(1, 2)] * 4] * 4)
+        validate_probability_table([[Fraction(1, 2)] * 4] * 4)
     bad = [[0] * 4 for _ in range(4)]
     bad[0][0] = 2
     bad[0][1] = -1
     with pytest.raises(ValueError):
-        lattice.validate_probability_table(bad)
+        validate_probability_table(bad)
 
 
 def test_parse_grid(grids):
