@@ -81,10 +81,9 @@ class CensusRecord:
 
 def _violating_site(mask: int) -> tuple[int, int]:
     n = lattice.cardinality(mask)
-    for a in range(4):
-        for b in range(4):
-            if 2 * lattice.cross_count(mask, a, b) > n:
-                return (a, b)
+    for pos, cross in enumerate(lattice._cross_counts(mask)):
+        if 2 * cross > n:
+            return divmod(pos, 4)
     raise ConsistencyError("no violating site on a non-PPT subset")
 
 

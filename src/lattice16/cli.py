@@ -99,8 +99,10 @@ def cmd_ptspectrum(args) -> int:
     _emit(
         {
             "subset": f"0x{mask:04X}",
-            "numeric": [round(float(x), 12) for x in spectrum],
-            "analytic": [round(float(x), 12) for x in analytic],
+            # + 0.0 turns a -0.0 (a zero LAPACK returned as a tiny
+            # negative) into 0.0, so the sign of zero is the state's.
+            "numeric": [round(float(x), 12) + 0.0 for x in spectrum],
+            "analytic": [round(float(x), 12) + 0.0 for x in analytic],
         },
         args,
     )

@@ -216,9 +216,9 @@ def oracle_sweep(tol: float = 1e-9) -> dict:
     ]
     witnessed, values = _witness_values()
     bound = -1.0 / (2.0 * tables.cardinality()[witnessed])
-    disagreements += [
-        ("witness", int(m)) for m in np.unique(witnessed[np.abs(values - bound) > tol])
-    ]
+    # sorted(set()) rather than np.unique, which imports numpy.ma.
+    failed = witnessed[np.abs(values - bound) > tol].tolist()
+    disagreements += [("witness", m) for m in sorted(set(failed))]
     return {
         "masks_swept": len(masks),
         "spectra_checked": len(spectra),

@@ -4,6 +4,11 @@ A subset I of the 16 sites is a 16-bit mask with the bit for site
 (alpha, beta) at position 4*alpha + beta.  Columns are indexed by alpha,
 rows by beta.  Grid strings list rows top-down from beta=3 to beta=0,
 matching the orientation used throughout the accompanying figures.
+
+Column alpha is the nibble ``mask >> 4*alpha & 0xF`` and row beta the
+bits ``mask & 0x1111 << beta``, so every count is an ``int.bit_count()``:
+the 16 cross counts behind ``k_matrix``, ``kappa``, ``is_ppt`` and
+``prop1b_entangled`` come from 4 column and 4 row popcounts per mask.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ class ConsistencyError(AssertionError):
 _HEX_MASK = re.compile(r"0[xX][0-9a-fA-F]{1,4}")
 # One pair: two single ASCII digits 0-3, whitespace allowed around each.
 _PAIR = re.compile(r"\s*([0-3])\s*,\s*([0-3])\s*")
+# The bits of row beta=0 (one per column); row beta is _ROW << beta.
+_ROW = 0x1111
 
 
 def site_bit(alpha: int, beta: int) -> int:
@@ -61,42 +68,42 @@ def sites(mask: int) -> list[tuple[int, int]]:
 
 
 def cardinality(mask: int) -> int:
-    return bin(mask & FULL_MASK).count("1")
+    return (mask & FULL_MASK).bit_count()
 
 
 def column_counts(mask: int) -> list[int]:
-    return [bin(mask >> (4 * a) & 0xF).count("1") for a in range(4)]
+    return [(mask >> 4 * a & 0xF).bit_count() for a in range(4)]
 
 
 def row_counts(mask: int) -> list[int]:
-    return [sum(mask >> (4 * a + b) & 1 for a in range(4)) for b in range(4)]
+    return [(mask & _ROW << b).bit_count() for b in range(4)]
 
 
 def cross_count(mask: int, alpha: int, beta: int) -> int:
     """Points of I on the column/row cross through (alpha, beta),
     excluding (alpha, beta) itself."""
-    col = bin(mask >> (4 * alpha) & 0xF).count("1")
-    row = sum(mask >> (4 * a + beta) & 1 for a in range(4))
+    col = (mask >> 4 * alpha & 0xF).bit_count()
+    row = (mask & _ROW << beta).bit_count()
     return col + row - 2 * (mask >> (4 * alpha + beta) & 1)
+
+
+def _cross_counts(mask: int) -> list[int]:
+    """cross_count(mask, a, b) for all 16 sites, in bit-position order
+    4a+b, from the 4 column and 4 row popcounts."""
+    cols, rows = column_counts(mask), row_counts(mask)
+    return [cols[pos >> 2] + rows[pos & 3] - 2 * (mask >> pos & 1) for pos in range(16)]
 
 
 def k_matrix(mask: int) -> list[list[int]]:
     """The 4x4 integer table k[mu][nu] driving the partial-transpose
     spectrum: the cross count through the shifted site (mu+2, nu+2)."""
-    cols = column_counts(mask)
-    rows = row_counts(mask)
-    k = [[0] * 4 for _ in range(4)]
-    for mu in range(4):
-        a = mu ^ 2
-        for nu in range(4):
-            b = nu ^ 2
-            k[mu][nu] = cols[a] + rows[b] - 2 * (mask >> (4 * a + b) & 1)
-    return k
+    cross = _cross_counts(mask)
+    return [[cross[4 * (mu ^ 2) + (nu ^ 2)] for nu in range(4)] for mu in range(4)]
 
 
 def kappa(mask: int) -> int:
-    """Minimum entry of the k-matrix."""
-    return min(min(r) for r in k_matrix(mask))
+    """Minimum entry of the k-matrix (a permutation of the cross counts)."""
+    return min(_cross_counts(mask))
 
 
 def is_ppt(mask: int) -> bool:
@@ -104,9 +111,7 @@ def is_ppt(mask: int) -> bool:
     n = cardinality(mask)
     if n == 0:
         raise EmptySubsetError("no lattice state for the empty subset")
-    return all(
-        2 * cross_count(mask, a, b) <= n for a in range(4) for b in range(4)
-    )
+    return 2 * max(_cross_counts(mask)) <= n
 
 
 def prop1b_entangled(mask: int) -> tuple[int, int] | None:
@@ -114,12 +119,9 @@ def prop1b_entangled(mask: int) -> tuple[int, int] | None:
     point, if any; such a site certifies entanglement of a PPT state."""
     if not is_ppt(mask):
         raise ValueError("prop1b test is only meaningful for PPT subsets")
-    for a in range(4):
-        for b in range(4):
-            if mask >> (4 * a + b) & 1:
-                continue
-            if cross_count(mask, a, b) == 1:
-                return (a, b)
+    for pos, cross in enumerate(_cross_counts(mask)):
+        if cross == 1 and not mask >> pos & 1:
+            return divmod(pos, 4)
     return None
 
 

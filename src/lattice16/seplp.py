@@ -122,7 +122,7 @@ def verify_certificate(cert: DecompositionCertificate, tol: float = 1e-12) -> bo
             )
             if on_site != expected:
                 return False
-    mix = np.zeros((16, 16), dtype=complex)
+    mix = np.zeros((16, 16))
     for m, w in cert.weights.items():
         mix += float(w) * build_lattice_state(m)
     return bool(np.abs(mix - build_lattice_state(cert.target)).max() <= tol)

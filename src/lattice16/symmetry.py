@@ -135,26 +135,34 @@ def act(g: SymmetryElement, mask: int) -> int:
     return out
 
 
-def _byte_tables(elements: list[SymmetryElement]) -> tuple[np.ndarray, np.ndarray]:
-    """Images of every mask byte under each element, as uint16 tables of
-    shape (256, len(elements)): lo[v, i] is the image of the low byte v
-    under element i and hi[v, i] that of the high byte, so element i
-    sends mask m to lo[m & 0xFF, i] | hi[m >> 8, i]."""
-    site_maps = np.array([el.site_map() for el in elements], dtype=np.uint16)
-    weights = (np.uint16(1) << site_maps).T  # weights[pos, i]: image of bit pos
-    lo = np.zeros((256, len(elements)), dtype=np.uint16)
+def _byte_tables(site_maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Images of every mask byte under each of the site maps (an
+    (elements, 16) array), as uint16 tables of shape (256, elements):
+    lo[v, i] is the image of the low byte v under element i and hi[v, i]
+    that of the high byte, so element i sends mask m to
+    lo[m & 0xFF, i] | hi[m >> 8, i]."""
+    weights = (np.uint16(1) << site_maps.astype(np.uint16)).T  # image of bit pos
+    lo = np.zeros((256, len(site_maps)), dtype=np.uint16)
     hi = np.zeros_like(lo)
-    for v in range(1, 256):
-        low_bit = (v & -v).bit_length() - 1
-        rest = v & (v - 1)
-        np.bitwise_or(lo[rest], weights[low_bit], out=lo[v])
-        np.bitwise_or(hi[rest], weights[low_bit + 8], out=hi[v])
+    for k in range(8):
+        # Bytes with top bit k are those below 2^k with bit k added.
+        np.bitwise_or(lo[: 1 << k], weights[k], out=lo[1 << k : 2 << k])
+        np.bitwise_or(hi[: 1 << k], weights[k + 8], out=hi[1 << k : 2 << k])
     return lo, hi
+
+
+def _group_site_maps() -> np.ndarray:
+    """[el.site_map() for el in group()] as an int64 array of shape
+    (1152, 16), built by broadcasting over the 24 permutations."""
+    perms = np.array(list(permutations(range(4))))
+    # plain[c, r, a, b] = 4 col_perm[a] + row_perm[b]; the swap reads (b, a).
+    plain = 4 * perms[:, None, :, None] + perms[None, :, None, :]
+    return np.stack([plain, plain.swapaxes(-1, -2)]).reshape(-1, 16)
 
 
 @functools.cache
 def _group_byte_tables() -> tuple[np.ndarray, np.ndarray]:
-    return _byte_tables(group())
+    return _byte_tables(_group_site_maps())
 
 
 def _orbit_images(mask: int) -> np.ndarray:
@@ -195,7 +203,7 @@ def canonical_table() -> np.ndarray:
     minimum.  From the identity it settles in one pass plus the
     confirming one.
     """
-    lo, hi = _byte_tables(generators())
+    lo, hi = _byte_tables(np.array([g.site_map() for g in generators()]))
     canon = np.arange(lattice.FULL_MASK + 1, dtype=np.uint16)
     low, high = (canon & 0xFF).astype(np.uint8), (canon >> 8).astype(np.uint8)
     while True:

@@ -151,15 +151,18 @@ def phi_v_tilde_diagonal(
 
     Equals k_mn/(2N) - (1/N) sum over (a,b) in I of |v_{i_mu(a), i_nu(b)}|^2.
     """
-    n = lattice.cardinality(mask)
-    if n == 0:
+    points = lattice.sites(mask)
+    if not points:
         raise lattice.EmptySubsetError("no lattice state for the empty subset")
-    k = lattice.k_matrix(mask)[mu][nu]
+    return _tilde_value(lattice.k_matrix(mask)[mu][nu], points, mu, nu, v)
+
+
+def _tilde_value(k: int, points: list, mu: int, nu: int, v: VMatrix) -> float:
+    """phi_v_tilde_diagonal from the k-matrix entry k_mn and the N sites."""
+    n = len(points)
     imu = pauli.index_map(mu)
     inu = pauli.index_map(nu)
-    absorbed = sum(
-        abs(v.coefficients[imu[a], inu[b]]) ** 2 for a, b in lattice.sites(mask)
-    )
+    absorbed = sum(abs(v.coefficients[imu[a], inu[b]]) ** 2 for a, b in points)
     return k / (2.0 * n) - absorbed / n
 
 
@@ -171,7 +174,8 @@ def witness_scan(mask: int) -> list[WitnessReport]:
     """
     if not lattice.is_ppt(mask):
         raise ValueError("witness scan is only defined for PPT subsets")
-    n = lattice.cardinality(mask)
+    in_mask = lattice.sites(mask)
+    n = len(in_mask)
     k = lattice.k_matrix(mask)
     reports = []
     for mu in range(4):
@@ -179,13 +183,13 @@ def witness_scan(mask: int) -> list[WitnessReport]:
             if k[mu][nu] != 1:
                 continue
             a2, b2 = mu ^ 2, nu ^ 2
-            points = [(a, b) for a, b in lattice.sites(mask) if (a == a2) != (b == b2)]
+            points = [(a, b) for a, b in in_mask if (a == a2) != (b == b2)]
             if len(points) != 1:
                 raise ConsistencyError(
                     f"k=1 at {(mu, nu)} but {len(points)} contributors on its cross"
                 )
             v = canonical_v_for(points[0], (a2, b2))
-            value = phi_v_tilde_diagonal(mask, mu, nu, v)
+            value = _tilde_value(k[mu][nu], in_mask, mu, nu, v)
             if value != -1.0 / (2 * n):
                 raise ConsistencyError(
                     f"canonical witness value {value} != -1/(2*{n})"

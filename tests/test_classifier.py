@@ -1,14 +1,13 @@
 import hashlib
 import json
-import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lattice16 import classifier, lattice, symmetry, tables
+from lattice16 import classifier, lattice, seplp, symmetry, tables
 from lattice16.classifier import Justification, Label
-
-random.seed(17)
 
 
 @pytest.fixture(scope="module")
@@ -53,14 +52,26 @@ def test_separable_reference_states(grids):
         assert cls.evidence["certificate"]["target"] == f"0x{grids[name]:04X}"
 
 
-def test_label_invariant_under_symmetry():
-    for _ in range(40):
-        mask = random.randrange(1, lattice.FULL_MASK + 1)
-        g = random.choice(symmetry.group())
-        a = classifier.classify(mask)
-        b = classifier.classify(symmetry.act(g, mask))
-        assert a.label == b.label
-        assert a.justification == b.justification
+# Uniform masks are mostly NPT; about half the draws are PPT so that the
+# witness and LP branches are exercised too.
+MASKS = st.one_of(
+    st.integers(1, lattice.FULL_MASK),
+    st.sampled_from(np.flatnonzero(tables.ppt()).tolist()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MASKS, st.sampled_from(symmetry.group()))
+def test_label_invariant_under_symmetry(mask, g):
+    image = symmetry.act(g, mask)
+    a = classifier.classify(mask)
+    b = classifier.classify(image)
+    assert a.label == b.label
+    assert a.justification == b.justification
+    if a.justification is Justification.LP_CERTIFICATE:
+        # Both certificates are mapped back from the canonical orbit member.
+        assert seplp.verify_certificate(seplp.decompose(mask))
+        assert seplp.verify_certificate(seplp.decompose(image))
 
 
 def test_npt_evidence():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -122,6 +123,38 @@ def test_ptspectrum(capsys):
     payload = json.loads(out)
     assert payload["numeric"] == pytest.approx(payload["analytic"], abs=1e-9)
     assert payload["analytic"][0] == pytest.approx(1.0 / 16)
+
+
+def test_ptspectrum_prints_no_negative_zero(capsys, grids):
+    # LAPACK returns some exact zeros as tiny negatives; rounded, they
+    # must print as 0.0, and the two spectra must then agree exactly.
+    for mask in [0x0003, *grids.values()]:
+        code, out, _ = run(capsys, "ptspectrum", f"0x{mask:04X}")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["numeric"] == payload["analytic"]
+        values = payload["numeric"] + payload["analytic"]
+        assert all(math.copysign(1.0, x) > 0 for x in values if x == 0)
+
+
+def test_cold_commands_do_not_import_numpy_ma():
+    # numpy.ma costs a cold process about 14 ms and no command needs it.
+    script = (
+        "import contextlib, io, sys\n"
+        "from lattice16 import cli\n"
+        "runs = (['verify'], ['census'], ['classify', '.XXX/.XXX/.XXX/....'])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in runs:\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_census_subcommand(capsys, tmp_path):

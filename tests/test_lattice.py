@@ -89,6 +89,24 @@ def test_prop1b(grids):
         lattice.prop1b_entangled(0xF)
 
 
+def test_prop1b_matches_site_loop():
+    # The first site outside I with cross count 1, in bit-position order,
+    # by the scalar cross_count, on every PPT mask.
+    for mask in range(1, lattice.FULL_MASK + 1):
+        if not lattice.is_ppt(mask):
+            continue
+        expected = next(
+            (
+                (a, b)
+                for a in range(4)
+                for b in range(4)
+                if not mask >> (4 * a + b) & 1 and lattice.cross_count(mask, a, b) == 1
+            ),
+            None,
+        )
+        assert lattice.prop1b_entangled(mask) == expected
+
+
 def test_prop1b_site_is_outside_with_unit_cross(grids):
     for name in ("ex1_left_n8", "ex2_left_n8", "ex3_left_n10"):
         mask = grids[name]

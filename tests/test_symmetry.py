@@ -82,6 +82,20 @@ def test_action_preserves_invariants():
         ) == sorted(x for r in lattice.k_matrix(mask) for x in r)
 
 
+def test_group_site_maps_and_byte_tables():
+    # The broadcast site maps and the doubled byte tables against the
+    # per-element site_map() and act(), which stay the reference.
+    grp = symmetry.group()
+    maps = symmetry._group_site_maps()
+    assert maps.shape == (1152, 16)
+    assert maps.tolist() == [list(el.site_map()) for el in grp]
+    lo, hi = symmetry._group_byte_tables()
+    masks = [1 << pos for pos in range(16)] + [0x00FF, 0xFF00, lattice.FULL_MASK]
+    for mask in masks:
+        images = lo[mask & 0xFF] | hi[mask >> 8]
+        assert images.tolist() == [symmetry.act(g, mask) for g in grp]
+
+
 def test_canonical_form_orbit_stabilizer():
     for mask in (0, 1, 0x00FF, 0x8421, lattice.FULL_MASK):
         rec = symmetry.canonical_form(mask)
