@@ -135,22 +135,6 @@ def act(g: SymmetryElement, mask: int) -> int:
     return out
 
 
-def _byte_tables(site_maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Images of every mask byte under each of the site maps (an
-    (elements, 16) array), as uint16 tables of shape (256, elements):
-    lo[v, i] is the image of the low byte v under element i and hi[v, i]
-    that of the high byte, so element i sends mask m to
-    lo[m & 0xFF, i] | hi[m >> 8, i]."""
-    weights = (np.uint16(1) << site_maps.astype(np.uint16)).T  # image of bit pos
-    lo = np.zeros((256, len(site_maps)), dtype=np.uint16)
-    hi = np.zeros_like(lo)
-    for k in range(8):
-        # Bytes with top bit k are those below 2^k with bit k added.
-        np.bitwise_or(lo[: 1 << k], weights[k], out=lo[1 << k : 2 << k])
-        np.bitwise_or(hi[: 1 << k], weights[k + 8], out=hi[1 << k : 2 << k])
-    return lo, hi
-
-
 def _group_site_maps() -> np.ndarray:
     """[el.site_map() for el in group()] as an int64 array of shape
     (1152, 16), built by broadcasting over the 24 permutations."""
@@ -162,7 +146,18 @@ def _group_site_maps() -> np.ndarray:
 
 @functools.cache
 def _group_byte_tables() -> tuple[np.ndarray, np.ndarray]:
-    return _byte_tables(_group_site_maps())
+    """Images of every mask byte under each element of group(), as uint16
+    tables of shape (256, 1152): lo[v, i] is the image of the low byte v
+    under element i and hi[v, i] that of the high byte, so element i
+    sends mask m to lo[m & 0xFF, i] | hi[m >> 8, i]."""
+    weights = (np.uint16(1) << _group_site_maps().astype(np.uint16)).T
+    lo = np.zeros((256, weights.shape[1]), dtype=np.uint16)
+    hi = np.zeros_like(lo)
+    for k in range(8):
+        # Bytes with top bit k are those below 2^k with bit k added.
+        np.bitwise_or(lo[: 1 << k], weights[k], out=lo[1 << k : 2 << k])
+        np.bitwise_or(hi[: 1 << k], weights[k + 8], out=hi[1 << k : 2 << k])
+    return lo, hi
 
 
 def _orbit_images(mask: int) -> np.ndarray:
@@ -195,25 +190,22 @@ def find_mapping(source: int, target: int) -> SymmetryElement:
 def canonical_table() -> np.ndarray:
     """The minimal mask of the orbit of every mask 0..0xFFFF (uint16).
 
-    Each pass replaces canon[m] by min(canon[m], canon[g(m)]) for every
-    generator g.  canon[m] is always a member of the orbit of m and never
-    grows.  Once a pass changes nothing, canon[m] <= canon[g(m)] for all
-    m and g; the generators are involutions, so canon is equal on
-    generator neighbours, hence constant on each orbit, and so the orbit
-    minimum.  From the identity it settles in one pass plus the
-    confirming one.
+    One ascending walk over the masks: the first mask not yet reached
+    starts a new orbit, and one _orbit_images gather marks that whole
+    orbit with it.  Every smaller mask was reached by the gather of its
+    own orbit, which would have reached this mask too had the two shared
+    an orbit; so the mask is the minimum of its orbit.  The walk visits
+    192 orbits, the empty mask's included.
     """
-    lo, hi = _byte_tables(np.array([g.site_map() for g in generators()]))
-    canon = np.arange(lattice.FULL_MASK + 1, dtype=np.uint16)
-    low, high = (canon & 0xFF).astype(np.uint8), (canon >> 8).astype(np.uint8)
-    while True:
-        before = canon.copy()
-        for i in range(lo.shape[1]):
-            # The images are recomputed on each pass rather than stored:
-            # all 13 would cost 1.7 MB of resident memory.
-            np.minimum(canon, canon[lo[low, i] | hi[high, i]], out=canon)
-        if np.array_equal(canon, before):
-            break
+    canon = np.zeros(lattice.FULL_MASK + 1, dtype=np.uint16)
+    # One more flag than masks, never set, stops the walk after the last.
+    reached = np.zeros(len(canon) + 1, dtype=bool)
+    mask = 0
+    while mask < len(canon):
+        images = _orbit_images(mask)
+        canon[images] = mask
+        reached[images] = True
+        mask += int(np.argmin(reached[mask:]))
     canon.setflags(write=False)
     return canon
 

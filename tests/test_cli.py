@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lattice16 import cli, pauli, witness
+from lattice16 import cli, pauli, seplp, witness
 
 ROOT = Path(__file__).resolve().parents[1]
 RHO6 = ".XX./.XX./.XX./...."
@@ -170,6 +170,29 @@ def test_census_subcommand(capsys, tmp_path):
     summary = (tmp_path / "census.jsonl.summary.csv").read_text()
     assert summary.splitlines()[4].startswith("4,")
     assert "summary" in printed
+
+
+@pytest.mark.parametrize(
+    "bounds", [("--min", "3", "--max", "2"), ("--min", "17"), ("--max", "0")]
+)
+def test_census_empty_range_rejected(capsys, tmp_path, bounds):
+    out_path = tmp_path / "census.jsonl"
+    code, out, err = run(capsys, "--out", str(out_path), "census", *bounds)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_census_consistency_violation(capsys, monkeypatch):
+    # A certificate for a witnessed PPT_ENTANGLED orbit (N=6 has one)
+    # breaks the census consistency check: exit 1, reported once.
+    monkeypatch.setattr(
+        seplp, "decompose", lambda m: seplp.DecompositionCertificate(m, {})
+    )
+    code, out, err = run(capsys, "census", "--min", "6", "--max", "6")
+    assert code == 1 and out == ""
+    assert err.count("consistency violation") == 1
+    assert "witnessed entangled and LP-certified" in err
 
 
 def test_verify_subcommand(capsys):

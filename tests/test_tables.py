@@ -2,8 +2,6 @@
 in the sweeps: every mask for the lattice tables, and the canonical map
 against the group action itself."""
 
-import random
-
 import numpy as np
 
 from lattice16 import lattice, symmetry, tables
@@ -69,16 +67,21 @@ def test_canonical_table_is_the_orbit_minimum():
 
 
 def test_canonical_table_against_group_action():
+    # Every orbit, the empty mask's included, read off the group action
+    # itself: the masks the table maps to rep are exactly rep's images.
     canon = symmetry.canonical_table()
     sizes = symmetry.orbit_size_table()
-    rng = random.Random(2024)
     grp = symmetry.group()
-    for mask in rng.sample(range(ALL), 500):
-        orbit = {symmetry.act(g, mask) for g in grp}
-        assert canon[mask] == min(orbit)
-        assert sizes[mask] == len(orbit)
-        rec = symmetry.canonical_form(mask)
-        assert (rec.canonical, rec.orbit_size) == (min(orbit), len(orbit))
+    reps = np.flatnonzero(canon == tables.masks()).tolist()
+    assert len(reps) == 192
+    for rep in reps:
+        orbit = {symmetry.act(g, rep) for g in grp}
+        assert min(orbit) == rep
+        assert orbit == set(np.flatnonzero(canon == rep).tolist())
+        assert (sizes[sorted(orbit)] == len(orbit)).all()
+        for mask in (rep, max(orbit)):
+            rec = symmetry.canonical_form(mask)
+            assert (rec.canonical, rec.orbit_size) == (rep, len(orbit))
 
 
 def test_canonical_map_all_is_the_table():
