@@ -152,12 +152,12 @@ def _classify_record(canonical: int, orbit_size: int) -> CensusRecord:
 
 def census(min_n: int = 1, max_n: int = 16) -> list[CensusRecord]:
     """Classify one representative per symmetry orbit, deterministically
-    ordered by (cardinality, canonical mask)."""
+    ordered by (cardinality, canonical mask), for min_n <= N <= max_n."""
+    if not 1 <= min_n <= max_n <= 16:
+        raise ValueError(f"census range {min_n}..{max_n}: need 1 <= min <= max <= 16")
     n = tables.cardinality()
     chosen = np.flatnonzero(
-        (symmetry.canonical_table() == tables.masks())
-        & (n >= max(min_n, 1))  # the empty mask defines no state
-        & (n <= max_n)
+        (symmetry.canonical_table() == tables.masks()) & (n >= min_n) & (n <= max_n)
     )
     chosen = chosen[np.argsort(n[chosen], kind="stable")]
     sizes = symmetry.orbit_size_table()[chosen].tolist()
@@ -175,7 +175,7 @@ def summary_table(records: list[CensusRecord]) -> dict[int, dict[str, int]]:
 
 
 def census_to_jsonl(records: list[CensusRecord]) -> str:
-    return "\n".join(json.dumps(r.to_json(), sort_keys=True) for r in records) + "\n"
+    return "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in records)
 
 
 def summary_to_csv(records: list[CensusRecord]) -> str:

@@ -40,10 +40,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_census(args) -> int:
-    if not 1 <= args.min <= args.max <= 16:
-        print("error: census needs 1 <= --min <= --max <= 16", file=sys.stderr)
+    try:
+        records = classify_mod.census(min_n=args.min, max_n=args.max)
+    except ValueError as exc:  # the range; lattice16's own faults are ConsistencyError
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    records = classify_mod.census(min_n=args.min, max_n=args.max)
     jsonl = classify_mod.census_to_jsonl(records)
     if args.out:
         with open(args.out, "w") as fh:
@@ -115,7 +116,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = dense.oracle_sweep(tol=args.tolerance)
+    report = dense.oracle_sweep()
     ok = not report["disagreements"]
     print(
         f"swept {report['masks_swept']} subsets, "
@@ -143,7 +144,6 @@ def _global_flags(suppress: bool) -> argparse.ArgumentParser:
         "--seed", type=int, default=default(0),
         help="no effect; accepted so that older command lines still run",
     )
-    flags.add_argument("--tolerance", type=float, default=default(1e-9))
     flags.add_argument("--out", default=default(None))
     flags.add_argument("--format", choices=["json", "ascii"], default=default("json"))
     return flags
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", choices=["grid", "pairs", "hex", "table"], default="table")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("verify", parents=flags, help="combinatorial-vs-dense oracle sweep")
+    p = sub.add_parser("verify", parents=flags, help="exact combinatorial-vs-dense sweep")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -196,9 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not 0 < args.tolerance <= 1e-3:
-        print("error: tolerance must be in (0, 1e-3]", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except lattice.EmptySubsetError as exc:

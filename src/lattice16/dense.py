@@ -1,21 +1,20 @@
-"""Dense numeric oracle: 16x16 states, partial transposition, spectra.
+"""Dense oracle: 16x16 states, partial transposition, spectra.
 
 Decisions about PPT/NPT are always taken combinatorially in
-:mod:`lattice16.lattice`; this module exists to cross-validate those
-decisions with floating-point linear algebra.
+:mod:`lattice16.lattice`; this module checks them against the dense
+operators.
 
 Every projector P_ab is real, and rho_I is a real combination of them,
 so the whole module works in real dtype.  Each partially transposed
-projector is exactly +-1/4 sum_mn P_mn, which makes the closed-form
-spectrum {1/4 - k_mn/(2N)} hold for every mask; the sweep checks it
-numerically on all of them, and checks the k=1 witness value -1/(2N)
-on every witnessed mask.
+projector is exactly +-1/4 sum_mn P_mn, so 4N rho_I^Gamma has the
+integer eigenvalue N - 2 k_mn on psi_mn.  The sweep proves the 16
+identities in exact (dyadic) float arithmetic, then checks the
+spectrum, the PPT flag and the k=1 witness value of every mask with
+integer equality.
 
-The numeric spectra use an exact block split: with the basis states
-|i j> sorted by i ^ j, 4N rho_I^Gamma is four symmetric integer 4x4
-blocks, and only 625 distinct blocks occur over all 65,535 masks.
-LAPACK's eigvalsh runs once per distinct block, and each mask's
-spectrum is gathered from those eigenvalues.
+:func:`pt_spectrum` splits 4N rho_I^Gamma exactly into four integer
+4x4 blocks (basis |i j> sorted by i ^ j); only 625 distinct blocks
+occur over all masks, and LAPACK's eigvalsh runs once per block.
 """
 
 from __future__ import annotations
@@ -131,10 +130,23 @@ def _pt_spectra(masks: np.ndarray, chunk: int = 4096) -> np.ndarray:
     return out
 
 
-def _analytic_spectra(masks: np.ndarray) -> np.ndarray:
-    """The closed form {1/4 - k_mn/(2N)}, ascending, one row per mask."""
-    n = _cardinalities(masks)
-    return np.sort(0.25 - tables.k_table()[masks] / (2.0 * n[:, None]), axis=1)
+def _pt_signs() -> np.ndarray:
+    """(16, 16) int64 table sign[s, mn]: 4 P_s^Gamma = sum_mn sign * P_mn.
+
+    Proven in exact float arithmetic (every entry is dyadic): Psi, the
+    psi_mn as columns, is unitary and each 4 Psi^dag P_s^Gamma Psi is
+    diagonal with entries +-1.  ConsistencyError otherwise.
+    """
+    psi = np.stack([pauli.psi_pair(a, b) for a, b in pauli.ALL_SITES], axis=1)
+    d = 4 * (psi.conj().T @ partial_transpose(projector_stack()) @ psi)
+    signs = np.diagonal(d, axis1=1, axis2=2)
+    if not (
+        np.array_equal(psi.conj().T @ psi, np.eye(16))
+        and np.array_equal(d, signs[:, :, None] * np.eye(16))
+        and np.isin(signs, (-1, 1)).all()
+    ):
+        raise lattice.ConsistencyError("a P_s^Gamma is not a +-1/4 sum of the P_mn")
+    return signs.real.astype(np.int64)
 
 
 def pt_spectrum(mask: int) -> np.ndarray:
@@ -143,8 +155,10 @@ def pt_spectrum(mask: int) -> np.ndarray:
 
 
 def analytic_pt_spectrum(mask: int) -> np.ndarray:
-    """The closed-form partial-transpose spectrum {1/4 - k_mn/(2N)}."""
-    return _analytic_spectra(np.array([mask & lattice.FULL_MASK]))[0]
+    """The closed-form partial-transpose spectrum {1/4 - k_mn/(2N)}, ascending."""
+    mask &= lattice.FULL_MASK
+    n = _cardinalities(np.array([mask]))[0]
+    return np.sort(0.25 - tables.k_table()[mask] / (2.0 * n))
 
 
 def pt_min_eigenvalues_all() -> np.ndarray:
@@ -167,12 +181,13 @@ def _tilde_diagonal(rho: np.ndarray, v: witness.VMatrix) -> np.ndarray:
 
 
 def _witness_values() -> tuple[np.ndarray, np.ndarray]:
-    """(masks, dense values) for every k=1 site of every PPT mask, one
+    """(masks, N * dense values) for every k=1 site of every PPT mask, one
     entry per (mask, site), with the contributor and V of witness_scan.
 
     weight[c, mn, s] is the dense value of P_s at the diagonal site
     (mu, nu) when site c is the one point of I on the cross through
-    (mu+2, nu+2); it is computed once per canonical V.
+    (mu+2, nu+2); it is computed once per canonical V.  Each weight is
+    -1/2, 0 or 1/2, so the sums are exact.
     """
     a, b = np.divmod(np.arange(16), 4)
     on_cross = (a == (a ^ 2)[:, None]) != (b == (b ^ 2)[:, None])  # [mn, s]
@@ -188,36 +203,30 @@ def _witness_values() -> tuple[np.ndarray, np.ndarray]:
     masks = ppt[rows]
     bits = _bits(masks)
     contributor = np.argmax(bits & on_cross[sites], axis=1)
-    values = (weight[contributor, sites] * bits).sum(axis=1)
-    return masks, values / tables.cardinality()[masks]
+    return masks, (weight[contributor, sites] * bits).sum(axis=1)
 
 
-def oracle_sweep(tol: float = 1e-9) -> dict:
-    """Cross-validate the combinatorial PPT criterion, the analytic PT
-    spectrum and the k=1 witness value against dense numerics on every
-    nonempty mask.
+def oracle_sweep() -> dict:
+    """Check the combinatorial PPT flag, the closed-form PT spectrum and
+    the k=1 witness value against the dense operators on every nonempty
+    mask, with exact equality.
 
     Returns a report dict; ``report["disagreements"]`` is empty on success.
     """
     masks = tables.masks()[1:]
-    spectra = _pt_spectra(masks)
-    min_eigs = spectra[:, 0]
+    spectra = _bits(masks) @ _pt_signs()  # column mn: 4N rho_I^Gamma on psi_mn
+    n = _cardinalities(masks).astype(np.int64)[:, None]
     # Index i below is mask i + 1.
     checks = (
-        ("ppt_sign", tables.ppt()[1:] != (min_eigs >= -tol)),
-        (
-            "margin",
-            (tables.ppt_margin()[1:] != 0) & (np.abs(min_eigs) <= 1e-6) & (min_eigs < 0),
-        ),
-        ("spectrum", np.abs(spectra - _analytic_spectra(masks)).max(axis=1) > tol),
+        ("ppt_sign", tables.ppt()[1:] != (spectra.min(axis=1) >= 0)),
+        ("spectrum", (spectra != n - 2 * tables.k_table()[masks]).any(axis=1)),
     )
     disagreements = [
         (kind, int(i) + 1) for kind, bad in checks for i in np.flatnonzero(bad)
     ]
     witnessed, values = _witness_values()
-    bound = -1.0 / (2.0 * tables.cardinality()[witnessed])
     # sorted(set()) rather than np.unique, which imports numpy.ma.
-    failed = witnessed[np.abs(values - bound) > tol].tolist()
+    failed = witnessed[values != -0.5].tolist()
     disagreements += [("witness", m) for m in sorted(set(failed))]
     return {
         "masks_swept": len(masks),

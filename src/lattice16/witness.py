@@ -6,7 +6,7 @@ elements in the entangled basis are controlled by the k-matrix; a site
 with k = 1 admits a single-Pauli V giving the value -1/(2N).
 
 Every value here is computed in closed form; :func:`lattice16.dense.oracle_sweep`
-checks the k=1 witness by the dense operator route on every subset.
+checks the k=1 witness by the dense operator route on every subset, exactly.
 """
 
 from __future__ import annotations

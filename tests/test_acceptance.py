@@ -38,7 +38,7 @@ def census_table(census_records):
 
 
 def test_criterion_01_oracle_sweep(capsys):
-    report = dense.oracle_sweep(tol=1e-9)
+    report = dense.oracle_sweep()
     ok = (
         report["masks_swept"] == 65535
         and report["spectra_checked"] == 65535
@@ -47,7 +47,8 @@ def test_criterion_01_oracle_sweep(capsys):
     )
     _report(
         capsys, 1, ok,
-        f"combinatorial PPT vs dense eigensolve on {report['masks_swept']} "
+        f"combinatorial PPT vs dense operators, integer equality, on "
+        f"{report['masks_swept']} "
         f"subsets, {report['spectra_checked']} full spectra, "
         f"{report['witnesses_checked']} k=1 witness values, "
         f"{len(report['disagreements'])} disagreements",

@@ -121,6 +121,16 @@ def test_census_records_are_canonical_and_sorted(n6_records):
         assert r.orbit_size * symmetry.canonical_form(r.canonical).stabilizer_order == 1152
 
 
+@pytest.mark.parametrize("min_n, max_n", [(3, 2), (0, 4), (17, 17), (1, 0), (5, 17)])
+def test_census_rejects_range_outside_1_to_16(min_n, max_n):
+    with pytest.raises(ValueError, match="census range"):
+        classifier.census(min_n=min_n, max_n=max_n)
+
+
+def test_empty_census_is_empty_jsonl():
+    assert classifier.census_to_jsonl([]) == ""
+
+
 def test_jsonl_and_csv_serialization(n6_records):
     lines = classifier.census_to_jsonl(n6_records).strip().split("\n")
     assert len(lines) == len(n6_records)

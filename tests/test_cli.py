@@ -58,10 +58,12 @@ def test_empty_subset_is_usage_error(capsys):
     assert "empty" in err
 
 
-def test_bad_tolerance_rejected(capsys):
-    code, _, err = run(capsys, "--tolerance", "0.5", "classify", RHO6)
-    assert code == 2
-    assert "tolerance" in err
+def test_tolerance_flag_is_gone(capsys):
+    # verify's checks are exact, so there is no tolerance to set.
+    for argv in (["--tolerance", "1e-9", "verify"], ["verify", "--tolerance", "1e-9"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "lattice16: error:" in err, argv
 
 
 def test_render_forms(capsys):
@@ -217,8 +219,6 @@ def test_flag_before_subcommand_is_kept(capsys, tmp_path):
     code, printed, _ = run(capsys, "--out", str(out_path), "orbit", RHO6)
     assert code == 0 and printed == ""
     assert out_path.exists()
-    code, _, err = run(capsys, "--tolerance", "0.5", "render", RHO6)
-    assert code == 2 and "tolerance" in err
 
 
 def test_csv_format_rejected(capsys):

@@ -90,12 +90,16 @@ def test_partially_transposed_projectors_are_diagonal():
     # The 16 exact identities P_ab^Gamma = sum_mn d * P_mn, with d = -1/4
     # when (a, b) lies on the cross through (mu+2, nu+2), centre excluded,
     # and d = +1/4 otherwise.  rho_I^Gamma is linear in the mask bits, so
-    # they prove the closed-form spectrum for every mask.
+    # they prove the closed-form spectrum for every mask.  The sweep's
+    # sign table holds the same d, times 4.
+    signs = dense._pt_signs()
+    assert signs.dtype == np.int64
     for a, b in pauli.ALL_SITES:
         expected = np.zeros((16, 16))
         for mu, nu in pauli.ALL_SITES:
             on_cross = (a == mu ^ 2) != (b == nu ^ 2)
             expected += (-0.25 if on_cross else 0.25) * pauli.projector(mu, nu)
+            assert signs[4 * a + b, 4 * mu + nu] == (-1 if on_cross else 1)
         assert np.array_equal(dense.partial_transpose(pauli.projector(a, b)), expected)
 
 
@@ -158,6 +162,56 @@ def test_pt_blocks_rejects_entry_outside_blocks(monkeypatch, capsys):
         dense._pt_blocks.cache_clear()
 
 
+def _not_unitary(monkeypatch):
+    # psi_00 doubled, and the psi_00 part of every P_s^Gamma quartered to
+    # match: each 4 Psi^dag P_s^Gamma Psi stays diagonal with entries +-1,
+    # but Psi is no longer unitary, so that is a congruence, not a
+    # similarity, and proves nothing about the spectrum.
+    u = pauli.psi_pair(0, 0)
+    pts = dense.partial_transpose(dense.projector_stack())
+    pts = pts - dense._pt_signs()[:, 0, None, None] * 3 / 16 * np.outer(u, u).real
+    stack = dense.partial_transpose(pts)
+    psi_pair = pauli.psi_pair
+    monkeypatch.setattr(
+        pauli, "psi_pair", lambda a, b: 2 * u if (a, b) == (0, 0) else psi_pair(a, b)
+    )
+    monkeypatch.setattr(dense, "projector_stack", lambda: stack)
+
+
+def _replace_projector(monkeypatch, p):
+    stack = dense.projector_stack().copy()
+    stack[5] = p
+    monkeypatch.setattr(dense, "projector_stack", lambda: stack)
+
+
+def _not_diagonal(monkeypatch):
+    # 4 P_11^Gamma gains psi_00 psi_01^T + psi_01 psi_00^T: in the psi
+    # basis its diagonal stays +-1, but it is no longer diagonal.
+    u, v = pauli.psi_pair(0, 0).real, pauli.psi_pair(0, 1).real
+    uv = np.outer(u, v)
+    pt = dense.partial_transpose(pauli.projector(1, 1)) + (uv + uv.T) / 4
+    _replace_projector(monkeypatch, dense.partial_transpose(pt))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _not_unitary,
+        _not_diagonal,
+        # Diagonal in the psi basis, but with entries +-2 after scaling.
+        lambda mp: _replace_projector(mp, 2 * pauli.projector(1, 1)),
+    ],
+    ids=["psi_not_unitary", "pt_not_diagonal", "pt_diagonal_not_unit"],
+)
+def test_exact_sweep_rejects_broken_pt_identities(monkeypatch, capsys, mutate):
+    mutate(monkeypatch)
+    with pytest.raises(lattice.ConsistencyError):
+        dense._pt_signs()
+    assert cli.main(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "consistency violation" in captured.err
+
+
 def test_analytic_spectrum_values(grids):
     # N=1: k-matrix entries are 0 or 1, spectrum {1/4, -1/4}.
     vals = dense.analytic_pt_spectrum(1)
@@ -178,7 +232,7 @@ def test_pt_min_eigenvalues_all_consistency():
 
 
 def test_oracle_sweep_small():
-    report = dense.oracle_sweep(tol=1e-9)
+    report = dense.oracle_sweep()
     assert report["masks_swept"] == report["spectra_checked"] == lattice.FULL_MASK
     assert report["witnesses_checked"] == 5088
     assert report["disagreements"] == []
@@ -192,7 +246,7 @@ def test_oracle_sweep_reports_wrong_witness(monkeypatch):
         witness, "canonical_v_for",
         lambda contributing, center: witness.VMatrix(pauli.sigma_pair(2, 0)),
     )
-    report = dense.oracle_sweep(tol=1e-9)
+    report = dense.oracle_sweep()
     kinds = {kind for kind, _ in report["disagreements"]}
     assert kinds == {"witness"}
     assert 0 < len(report["disagreements"]) <= 2688
@@ -205,5 +259,5 @@ def test_oracle_sweep_reports_broken_tables(monkeypatch):
     k[0x0F0F, 5] += 1
     monkeypatch.setattr(tables, "ppt", lambda: ppt)
     monkeypatch.setattr(tables, "k_table", lambda: k)
-    report = dense.oracle_sweep(tol=1e-9)
+    report = dense.oracle_sweep()
     assert report["disagreements"] == [("ppt_sign", 0x1357), ("spectrum", 0x0F0F)]

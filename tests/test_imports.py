@@ -1,0 +1,43 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_classify_and_certificate_check_do_not_load_dense():
+    # Every verdict is decided, and every certificate checked, with
+    # integers and fractions: the dense oracle stays unloaded.
+    script = (
+        "import sys\n"
+        "import lattice16\n"
+        "mask = lattice16.parse_subset('.XX./.XX./.XX./....')\n"
+        "cls = lattice16.classify(mask)\n"
+        "assert cls.justification is lattice16.Justification.LP_CERTIFICATE\n"
+        "assert lattice16.verify_certificate(lattice16.decompose(mask))\n"
+        "print('lattice16.dense' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_src_does_not_import_scipy():
+    # numpy is the only runtime dependency.
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert files
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), path

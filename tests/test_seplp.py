@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lattice16 import lattice, seplp, symmetry
+from lattice16 import classifier, dense, lattice, seplp, symmetry
 from lp_oracles import brute_force_decomposable
 from separable_basis import is_exact_product_ensemble, product_ensemble
 
@@ -127,6 +128,31 @@ def test_verify_rejects_tampered_certificates(grids):
     assert not seplp.verify_certificate(
         seplp.DecompositionCertificate(grids["rho9"], {})
     )
+
+
+def test_census_certificates_reconstruct_their_states():
+    # verify_certificate checks the per-site identities only, which is a
+    # proof because the P_s are orthonormal.  Here every LP certificate
+    # the census emits is also expanded densely: sum_j w_j rho_j must
+    # equal rho_I.  Scaled by L N, with L clearing every denominator of
+    # N w_j, both sides are integer sums of dyadic matrices: exact.
+    certs = [
+        seplp.decompose(r.canonical)
+        for r in classifier.census()
+        if r.justification is classifier.Justification.LP_CERTIFICATE
+    ]
+    assert len(certs) == 44
+    for cert in certs:
+        n = lattice.cardinality(cert.target)
+        scale = math.lcm(*((n * w).denominator for w in cert.weights.values()))
+        mix = sum(
+            int(scale * n * w) * dense.build_lattice_state(m)
+            for m, w in cert.weights.items()
+        )
+        sites = [4 * a + b for a, b in lattice.sites(cert.target)]
+        state = scale * dense.projector_stack()[sites].sum(axis=0)
+        assert seplp.verify_certificate(cert)
+        assert np.array_equal(mix, state), f"0x{cert.target:04X}"
 
 
 def test_verify_rejects_non_basis_member():
