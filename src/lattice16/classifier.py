@@ -119,11 +119,9 @@ def classify(mask: int) -> Classification:
         return Classification(
             Label.SEPARABLE, Justification.LP_CERTIFICATE, {"certificate": cert.to_json()}
         )
+    k = lattice.k_matrix(mask)
     kz_centers = [
-        [mu ^ 2, nu ^ 2]
-        for mu in range(4)
-        for nu in range(4)
-        if lattice.k_matrix(mask)[mu][nu] == 0
+        [mu ^ 2, nu ^ 2] for mu in range(4) for nu in range(4) if k[mu][nu] == 0
     ]
     return Classification(
         Label.UNKNOWN, Justification.NONE, {"kappa_zero_centers": kz_centers}

@@ -1,13 +1,15 @@
 """Exact separability certificates over the rank-4 separable basis.
 
 A lattice state is certified separable by exhibiting exact convex
-weights over the PPT four-site lattice states that reproduce it site by
-site.  Each of those 60 states is separable: ``tests/separable_basis.py``
-writes every one as an explicit mixture of pure product states (2x2
-blocks from Pauli eigenprojectors, transversals from Smolin's state)
-and ``tests/test_seplp.py::test_basis_members_are_separable`` checks
-each mixture with exact equality.  The P_s are orthonormal, so the
-exact per-site identities of :func:`verify_certificate` prove that a
+weights over 60 four-site lattice states that reproduce it site by
+site.  The basis has two families: the 36 2x2 rectangles (two columns
+times two rows) and the 24 transversals (one site per column and per
+row).  Each member is separable: ``tests/separable_basis.py`` writes
+every rectangle as a mixture of products of Pauli eigenprojectors and
+every transversal as an image of Smolin's state, and
+``tests/test_seplp.py::test_basis_members_are_separable`` checks each
+mixture with exact equality.  The P_s are orthonormal, so the exact
+per-site identities of :func:`verify_certificate` prove that a
 certificate reproduces its state.  Infeasibility of that linear program
 is a statement about this basis only, never a proof of entanglement.
 """
@@ -17,10 +19,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, permutations
 
-import numpy as np
-
-from . import lattice, symmetry, tables
+from . import lattice, symmetry
 from .simplex import feasible_nonneg_solution
 
 __all__ = [
@@ -32,15 +33,24 @@ __all__ = [
 
 @functools.cache
 def build_basis() -> list[int]:
-    """All four-site PPT subsets (60 of them), ordered as
-    itertools.combinations lists their bit positions; that order is the
-    LP's column order.
-
-    Each member is proven separable by an exact product ensemble in
-    ``tests/separable_basis.py``, checked in ``tests/test_seplp.py``.
+    """The 60 basis members: the 36 2x2 rectangles (every pair of
+    columns times every pair of rows) and the 24 transversals (site
+    (a, p[a]) for each permutation p of the rows).  They are exactly
+    the four-site PPT subsets.  Sorted by their sites, that is by bit
+    positions in itertools.combinations order; that order is the LP's
+    column order.
     """
-    members = np.flatnonzero((tables.cardinality() == 4) & tables.ppt())
-    return sorted(members.tolist(), key=lattice.sites)
+    pairs = list(combinations(range(4), 2))
+    rectangles = [
+        sum(lattice.site_bit(a, b) for a in cols for b in rows)
+        for cols in pairs
+        for rows in pairs
+    ]
+    transversals = [
+        sum(lattice.site_bit(a, p[a]) for a in range(4))
+        for p in permutations(range(4))
+    ]
+    return sorted(rectangles + transversals, key=lattice.sites)
 
 
 @dataclass(frozen=True)

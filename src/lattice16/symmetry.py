@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "canonical_map_all",
     "canonical_table",
     "orbit_size_table",
-    "verify_generator_numerically",
 ]
 
 
@@ -113,17 +112,26 @@ def generators() -> list[SymmetryElement]:
     return gens
 
 
+_PERMS = tuple(permutations(range(4)))
+
+
+@functools.cache  # find_mapping returns the same object for the same index
+def _element(i: int) -> SymmetryElement:
+    """group()[i], decoded from the index: group() lists swap_axes
+    (False, True), then col_perm, then row_perm, each permutation in
+    itertools.permutations order, so i = 576 swap + 24 col + row."""
+    swap, rest = divmod(i, len(_PERMS) ** 2)
+    col, row = divmod(rest, len(_PERMS))
+    return SymmetryElement(_PERMS[col], _PERMS[row], bool(swap))
+
+
 @functools.cache
 def group() -> list[SymmetryElement]:
     """Every column permutation times every row permutation, with and
     without the axis swap: (S4 x S4) x| Z2, order 1152, sorted by
     (swap_axes, col_perm, row_perm).  The tests derive it as the closure
     of generators()."""
-    perms = list(permutations(range(4)))
-    return [
-        SymmetryElement(c, r, s)
-        for s, c, r in product((False, True), perms, perms)
-    ]
+    return [_element(i) for i in range(2 * len(_PERMS) ** 2)]
 
 
 def act(g: SymmetryElement, mask: int) -> int:
@@ -138,7 +146,7 @@ def act(g: SymmetryElement, mask: int) -> int:
 def _group_site_maps() -> np.ndarray:
     """[el.site_map() for el in group()] as an int64 array of shape
     (1152, 16), built by broadcasting over the 24 permutations."""
-    perms = np.array(list(permutations(range(4))))
+    perms = np.array(_PERMS)
     # plain[c, r, a, b] = 4 col_perm[a] + row_perm[b]; the swap reads (b, a).
     plain = 4 * perms[:, None, :, None] + perms[None, :, None, :]
     return np.stack([plain, plain.swapaxes(-1, -2)]).reshape(-1, 16)
@@ -183,7 +191,7 @@ def find_mapping(source: int, target: int) -> SymmetryElement:
     hits = np.flatnonzero(_orbit_images(source) == target)
     if not len(hits):
         raise ValueError("masks are not in the same orbit")
-    return group()[hits[0]]
+    return _element(int(hits[0]))
 
 
 @functools.cache
@@ -222,50 +230,3 @@ def orbit_size_table() -> np.ndarray:
 def canonical_map_all() -> list[int]:
     """canonical[mask] for every mask in [0, 0xFFFF]."""
     return canonical_table().tolist()
-
-
-def _local_unitary_for(g: SymmetryElement) -> np.ndarray:
-    """A concrete 16x16 local unitary realizing a published generator."""
-    if g.swap_axes:
-        # Both parties flip their two qubits.
-        f4 = np.zeros((4, 4))
-        for a in range(2):
-            for b in range(2):
-                f4[2 * b + a, 2 * a + b] = 1.0
-        return np.kron(f4, f4)
-    if g.row_perm == _ID_PERM:
-        perm, on_columns = g.col_perm, True
-    elif g.col_perm == _ID_PERM:
-        perm, on_columns = g.row_perm, False
-    else:
-        raise ValueError("not a single published generator")
-    for gamma in (1, 2, 3):
-        if perm == pauli.index_map(gamma):
-            # Conjugation by I (x) sigma_{gamma,0} (or sigma_{0,gamma}).
-            s = (
-                pauli.sigma_pair(gamma, 0)
-                if on_columns
-                else pauli.sigma_pair(0, gamma)
-            )
-            return np.kron(np.eye(4), s)
-    moved = [i for i in range(4) if perm[i] != i]
-    if len(moved) == 2 and 0 not in moved:
-        i, j = moved
-        u1 = (pauli.pauli(i) + pauli.pauli(j)) / np.sqrt(2.0)
-        u = np.kron(u1, np.eye(2)) if on_columns else np.kron(np.eye(2), u1)
-        # First party gets U, second gets U*, per the rotation argument.
-        return np.kron(u, u.conj())
-    raise ValueError("not a single published generator")
-
-
-def verify_generator_numerically(g: SymmetryElement, tol: float = 1e-10) -> bool:
-    """Check that conjugating every projector by the generator's concrete
-    local unitary lands on the projector at the permuted site."""
-    w = _local_unitary_for(g)
-    for a in range(4):
-        for b in range(4):
-            image = w @ pauli.projector(a, b) @ w.conj().T
-            x, y = g.apply_site(a, b)
-            if np.abs(image - pauli.projector(x, y)).max() > tol:
-                return False
-    return True

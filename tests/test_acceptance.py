@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from generator_unitaries import verify_generator_numerically
 from lattice16 import (
     classifier,
     dense,
@@ -230,7 +231,7 @@ def test_criterion_08_open_cases_undecided(capsys, grids):
 def test_criterion_09_symmetry_group(capsys):
     gens = symmetry.generators()
     ok = len(symmetry.group()) == 1152 and len(gens) == 13
-    ok &= all(symmetry.verify_generator_numerically(g, tol=1e-10) for g in gens)
+    ok &= all(verify_generator_numerically(g, tol=1e-10) for g in gens)
     import random as _random
 
     rnd = _random.Random(9)

@@ -74,6 +74,21 @@ def test_label_invariant_under_symmetry(mask, g):
         assert seplp.verify_certificate(seplp.decompose(image))
 
 
+def test_unknown_lists_kappa_zero_centers(grids, monkeypatch):
+    # A PPT mask with no k=1 witness whose LP finds no certificate is
+    # UNKNOWN, with the shifted sites of the zero k-matrix entries.
+    mask = grids["rho9"]
+    monkeypatch.setattr(seplp, "decompose", lambda m: None)
+    cls = classifier.classify(mask)
+    assert cls.label is Label.UNKNOWN
+    assert cls.justification is Justification.NONE
+    k = lattice.k_matrix(mask)
+    zeros = [[mu ^ 2, nu ^ 2] for mu in range(4) for nu in range(4) if k[mu][nu] == 0]
+    assert zeros
+    assert cls.evidence == {"kappa_zero_centers": zeros}
+    assert "undecided" in classifier.explain(mask)
+
+
 def test_npt_evidence():
     cls = classifier.classify(0xF)
     assert cls.label is Label.NPT_ENTANGLED

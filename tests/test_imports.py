@@ -28,6 +28,30 @@ def test_classify_and_certificate_check_do_not_load_dense():
     assert proc.stdout == "False\n"
 
 
+def test_cold_lp_classify_builds_no_whole_space_table():
+    # The LP basis is built in closed form and find_mapping decodes one
+    # group element: neither needs the 65,536-row tables or the 1,152
+    # elements of group().
+    script = (
+        "import lattice16\n"
+        "from lattice16 import symmetry, tables\n"
+        "mask = lattice16.parse_subset('.XXX/.XXX/.XXX/....')\n"
+        "cls = lattice16.classify(mask)\n"
+        "assert cls.justification is lattice16.Justification.LP_CERTIFICATE\n"
+        "assert symmetry.canonical_form(mask).canonical != mask\n"
+        "print(tables.k_table.cache_info().currsize,"
+        " tables.ppt.cache_info().currsize,"
+        " symmetry.group.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0 0\n"
+
+
 def test_src_does_not_import_scipy():
     # numpy is the only runtime dependency.
     files = sorted((ROOT / "src").rglob("*.py"))

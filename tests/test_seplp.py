@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lattice16 import classifier, dense, lattice, seplp, symmetry
+from lattice16 import classifier, dense, lattice, seplp, symmetry, tables
 from lp_oracles import brute_force_decomposable
 from separable_basis import is_exact_product_ensemble, product_ensemble
 
@@ -24,6 +24,13 @@ def test_basis_size_and_structure():
     for m in basis:
         g = random.choice(symmetry.group())
         assert symmetry.act(g, m) in s
+
+
+def test_basis_equals_table_derivation():
+    # The closed form names exactly the four-site PPT subsets, in the
+    # order that fixes the LP's columns, pivots and certificates.
+    members = np.flatnonzero((tables.cardinality() == 4) & tables.ppt())
+    assert seplp.build_basis() == sorted(members.tolist(), key=lattice.sites)
 
 
 def test_basis_shapes():

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from generator_unitaries import verify_generator_numerically
 from lattice16 import lattice, symmetry
 
 random.seed(11)
@@ -121,6 +123,25 @@ def test_find_mapping():
         symmetry.find_mapping(0x0001, 0x0003)
 
 
+def test_element_decodes_group_index():
+    grp = symmetry.group()
+    perms = list(itertools.permutations(range(4)))
+    order = itertools.product((False, True), perms, perms)
+    for i, (swap, col, row) in enumerate(order):
+        assert symmetry._element(i) == grp[i]
+        assert (grp[i].swap_axes, grp[i].col_perm, grp[i].row_perm) == (swap, col, row)
+    assert symmetry._element(7) is symmetry._element(7)
+
+
+def test_find_mapping_recovers_every_element():
+    # With a trivial stabilizer, g is the only element sending the mask
+    # to act(g, mask), so find_mapping must return exactly g.
+    mask = 0x1236
+    assert symmetry.canonical_form(mask).stabilizer_order == 1
+    for g in symmetry.group():
+        assert symmetry.find_mapping(mask, symmetry.act(g, mask)) == g
+
+
 def test_canonical_map_all_consistency():
     canon = symmetry.canonical_map_all()
     assert len(canon) == lattice.FULL_MASK + 1
@@ -140,7 +161,7 @@ def test_canonical_map_all_consistency():
 
 def test_all_generators_verify_numerically():
     for g in symmetry.generators():
-        assert symmetry.verify_generator_numerically(g)
+        assert verify_generator_numerically(g)
 
 
 def test_example_orbits(grids):
