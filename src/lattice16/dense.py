@@ -12,6 +12,12 @@ identities in exact (dyadic) float arithmetic, then checks the
 spectrum, the PPT flag and the k=1 witness value of every mask with
 integer equality.
 
+The extended reduction map Phi_V[B] = Tr(B) I_4 - B - V B^T V*, for
+any admissible V (unitary, antisymmetric), lives here too, as the
+oracle of the integer k=1 witness scan of :mod:`lattice16.witness`:
+the sweep applies it, through the dense operators, with the V that
+``witness.canonical_slot`` picks.
+
 :func:`pt_spectrum` splits 4N rho_I^Gamma exactly into four integer
 4x4 blocks (basis |i j> sorted by i ^ j); only 625 distinct blocks
 occur over all masks, and LAPACK's eigvalsh runs once per block.
@@ -20,6 +26,7 @@ occur over all masks, and LAPACK's eigvalsh runs once per block.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +40,13 @@ __all__ = [
     "analytic_pt_spectrum",
     "pt_min_eigenvalues_all",
     "oracle_sweep",
+    "VMatrix",
+    "pauli_coefficients",
+    "theta_v",
+    "phi_v",
+    "apply_id_tensor_phi",
+    "phi_v_tilde_diagonal",
+    "random_admissible_v",
 ]
 
 
@@ -169,12 +183,103 @@ def pt_min_eigenvalues_all() -> np.ndarray:
     return _pt_spectra(tables.masks()[1:])[:, 0]
 
 
-def _tilde_diagonal(rho: np.ndarray, v: witness.VMatrix) -> np.ndarray:
+@dataclass(frozen=True)
+class VMatrix:
+    """An admissible 4x4 unitary antisymmetric matrix with its Pauli
+    expansion (supported only on slots (a,2) and (2,b), a,b != 2).
+    Both arrays are read-only copies."""
+
+    matrix: np.ndarray
+    label: str = "general"
+    coefficients: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        m = np.array(self.matrix, dtype=complex)
+        if m.shape != (4, 4):
+            raise ValueError("V must be 4x4")
+        if np.abs(m @ m.conj().T - np.eye(4)).max() > 1e-12:
+            raise ValueError("V is not unitary")
+        if np.abs(m.T + m).max() > 1e-12:
+            raise ValueError("V is not antisymmetric")
+        c = pauli_coefficients(m)
+        two = np.arange(4) == 2
+        if np.any((np.abs(c) > 1e-12) & (two[:, None] == two)):
+            raise ValueError("V has Pauli support outside the antisymmetric slots")
+        m.setflags(write=False)
+        c.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "coefficients", c)
+
+
+def pauli_coefficients(m: np.ndarray) -> np.ndarray:
+    """Expansion coefficients v[a][b] of a 4x4 matrix over sigma_ab."""
+    return np.array(
+        [[np.trace(pauli.sigma_pair(a, b) @ m) / 4 for b in range(4)] for a in range(4)]
+    )
+
+
+def theta_v(v: VMatrix, b: np.ndarray) -> np.ndarray:
+    """The antiunitary conjugation B -> V B^T V*."""
+    return v.matrix @ b.T @ v.matrix.conj().T
+
+
+def phi_v(v: VMatrix, b: np.ndarray) -> np.ndarray:
+    """Tr(B) I - B - theta_V[B]; positive on positive inputs."""
+    return np.trace(b) * np.eye(4) - b - theta_v(v, b)
+
+
+def apply_id_tensor_phi(v: VMatrix, rho: np.ndarray) -> np.ndarray:
+    """Apply Phi_V to the second factor of a 16x16 bipartite operator, or
+    of each one in a stack of shape (..., 16, 16)."""
+    lead = rho.shape[:-2]
+    blocks = rho.reshape(*lead, 4, 4, 4, 4)  # (i, a, j, b): block (i,j), entry (a,b)
+    traces = np.einsum("...iaja->...ij", blocks)
+    vm = v.matrix
+    theta = np.einsum("ca,...ibja,db->...icjd", vm, blocks, vm.conj())
+    out = np.einsum("...ij,ab->...iajb", traces, np.eye(4)) - blocks - theta
+    return out.reshape(*lead, 16, 16)
+
+
+def phi_v_tilde_diagonal(mask: int, mu: int, nu: int, v: VMatrix) -> float:
+    """Closed-form diagonal element <psi_mn| (id x Phi~_V)[rho_I] |psi_mn>.
+
+    Equals k_mn/(2N) - (1/N) sum over (a,b) in I of |v_{mu^a, nu^b}|^2,
+    where mu ^ a is the index map i_mu(a).
+    """
+    points = lattice.sites(mask)
+    if not points:
+        raise lattice.EmptySubsetError("no lattice state for the empty subset")
+    n = len(points)
+    absorbed = sum(abs(v.coefficients[mu ^ a, nu ^ b]) ** 2 for a, b in points)
+    return lattice.k_matrix(mask)[mu][nu] / (2.0 * n) - absorbed / n
+
+
+def random_admissible_v(rng: np.random.Generator) -> VMatrix:
+    """Haar-style random admissible V: congruence of sigma_20 by a
+    random unitary preserves both antisymmetry and unitarity."""
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    q, r = np.linalg.qr(z)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return VMatrix(q @ pauli.sigma_pair(2, 0) @ q.T, label="random")
+
+
+def _slot_v(x: int, y: int) -> VMatrix:
+    """sigma_xy as a VMatrix; ConsistencyError if it is not admissible,
+    since the slot comes from witness.canonical_slot."""
+    try:
+        return VMatrix(pauli.sigma_pair(x, y))
+    except ValueError as exc:
+        raise lattice.ConsistencyError(
+            f"sigma_{x}{y} is not an admissible V: {exc}"
+        ) from exc
+
+
+def _tilde_diagonal(rho: np.ndarray, v: VMatrix) -> np.ndarray:
     """<psi_mn| (I x V^dag) (id x Phi_V)[rho] (I x V) |psi_mn> for every
     (mu, nu), by the dense operator route: a real (..., 4, 4) array for a
     stack of shape (..., 16, 16)."""
     iv = np.kron(np.eye(4), v.matrix)
-    tilde = iv.conj().T @ witness.apply_id_tensor_phi(v, rho) @ iv
+    tilde = iv.conj().T @ apply_id_tensor_phi(v, rho) @ iv
     psi = np.stack([pauli.psi_pair(mu, nu) for mu, nu in pauli.ALL_SITES])
     diag = np.einsum("ki,...ij,kj->...k", psi.conj(), tilde, psi).real
     return diag.reshape(*rho.shape[:-2], 4, 4)
@@ -186,18 +291,18 @@ def _witness_values() -> tuple[np.ndarray, np.ndarray]:
 
     weight[c, mn, s] is the dense value of P_s at the diagonal site
     (mu, nu) when site c is the one point of I on the cross through
-    (mu+2, nu+2); it is computed once per canonical V.  Each weight is
-    -1/2, 0 or 1/2, so the sums are exact.
+    (mu+2, nu+2); it is computed once per slot of witness.canonical_slot.
+    Each weight is -1/2, 0 or 1/2, so the sums are exact.
     """
     a, b = np.divmod(np.arange(16), 4)
     on_cross = (a == (a ^ 2)[:, None]) != (b == (b ^ 2)[:, None])  # [mn, s]
-    per_v, weight = {}, np.zeros((16, 16, 16))
-    for mn, c in zip(*np.nonzero(on_cross)):
-        v = witness.canonical_v_for((a[c], b[c]), (a[mn] ^ 2, b[mn] ^ 2))
-        key = v.matrix.tobytes()
-        if key not in per_v:
-            per_v[key] = _tilde_diagonal(projector_stack(), v)
-        weight[c, mn] = per_v[key][:, a[mn], b[mn]]
+    per_slot, weight = {}, np.zeros((16, 16, 16))
+    for mn, c in np.argwhere(on_cross).tolist():
+        mu, nu = divmod(mn, 4)
+        slot = witness.canonical_slot(divmod(c, 4), (mu ^ 2, nu ^ 2))
+        if slot not in per_slot:
+            per_slot[slot] = _tilde_diagonal(projector_stack(), _slot_v(*slot))
+        weight[c, mn] = per_slot[slot][:, mu, nu]
     ppt = np.flatnonzero(tables.ppt())
     rows, sites = np.nonzero(tables.k_table()[ppt] == 1)
     masks = ppt[rows]

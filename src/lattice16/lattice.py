@@ -68,7 +68,10 @@ def sites(mask: int) -> list[tuple[int, int]]:
 
 
 def cardinality(mask: int) -> int:
-    return (mask & FULL_MASK).bit_count()
+    """N = |I|; ValueError unless 0 <= mask <= FULL_MASK."""
+    if not 0 <= mask <= FULL_MASK:
+        raise ValueError(f"mask {mask!r} is outside 0..0x{FULL_MASK:04X}")
+    return mask.bit_count()
 
 
 def column_counts(mask: int) -> list[int]:

@@ -5,6 +5,9 @@ Every such value is exactly representable in binary floating point, so
 numpy complex arrays double as exact objects: sums and products of them
 incur no rounding as long as no division by a non-power-of-two occurs.
 The projectors P_ab are real, and are returned as real arrays.
+
+Only the dense oracle (:mod:`lattice16.dense`) builds these arrays; the
+decision path needs just the index map of s_a s_b, i_a(b) = a ^ b.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ __all__ = [
     "psi_plus",
     "psi_pair",
     "projector",
-    "eta",
-    "index_map",
     "EPSILON",
     "ALL_SITES",
 ]
@@ -80,28 +81,3 @@ def projector(alpha: int, beta: int) -> np.ndarray:
     if np.any(p.imag != 0.0):
         raise ConsistencyError(f"projector P_{alpha}{beta} is not real")
     return _frozen(np.ascontiguousarray(p.real))
-
-
-@cache
-def eta(alpha: int) -> np.ndarray:
-    """eta^a_{bm} = Tr(s_a s_b s_m) / 2; Hermitian and unitary as a 4x4
-    (cached, read-only)."""
-    t = np.empty((4, 4), dtype=complex)
-    for b in range(4):
-        for m in range(4):
-            t[b, m] = np.trace(_SIGMA[alpha] @ _SIGMA[b] @ _SIGMA[m]) / 2.0
-    return _frozen(t)
-
-
-@cache
-def index_map(alpha: int) -> tuple[int, int, int, int]:
-    """i_alpha(beta): the unique m with s_a s_b proportional to s_m."""
-    t = eta(alpha)
-    out = []
-    for b in range(4):
-        nz = [m for m in range(4) if abs(t[b, m]) > 0.5]
-        if len(nz) != 1:
-            raise AssertionError(f"eta^{alpha} row {b} not a monomial")
-        out.append(nz[0])
-    return tuple(out)
-

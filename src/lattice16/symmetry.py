@@ -1,11 +1,11 @@
 """Local-unitary lattice symmetries as a permutation group on L16.
 
-Generators: the index-map involutions i_1, i_2, i_3 applied to either
-axis, transpositions of the nonzero labels {1,2,3} on either axis, and
-the column/row swap.  The index maps are the Klein four-group and the
-transpositions generate S3, so each axis gets all of S4, and the group
-is built directly as (S4 x S4) x| Z2; the tests check that it is the
-closure of the generators.
+Generators: the index-map involutions i_g(b) = g ^ b (g = 1, 2, 3)
+applied to either axis, transpositions of the nonzero labels {1,2,3}
+on either axis, and the column/row swap.  The index maps are the Klein
+four-group and the transpositions generate S3, so each axis gets all
+of S4, and the group is built directly as (S4 x S4) x| Z2; the tests
+check that it is the closure of the generators.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import permutations
 
 import numpy as np
 
-from . import lattice, pauli
+from . import lattice
 
 __all__ = [
     "SymmetryElement",
@@ -100,7 +100,7 @@ IDENTITY = SymmetryElement(_ID_PERM, _ID_PERM, False)
 def generators() -> list[SymmetryElement]:
     gens = []
     for g in (1, 2, 3):
-        inv = pauli.index_map(g)
+        inv = tuple(g ^ b for b in range(4))
         gens.append(SymmetryElement(inv, _ID_PERM, False))
         gens.append(SymmetryElement(_ID_PERM, inv, False))
     for i, j in ((1, 2), (1, 3), (2, 3)):
@@ -169,9 +169,12 @@ def _group_byte_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _orbit_images(mask: int) -> np.ndarray:
-    """The image of the mask under every element of group(), in order."""
+    """The image of the mask under every element of group(), in order;
+    ValueError unless 0 <= mask <= FULL_MASK."""
+    if not 0 <= mask <= lattice.FULL_MASK:
+        raise ValueError(f"mask {mask!r} is outside 0..0x{lattice.FULL_MASK:04X}")
     lo, hi = _group_byte_tables()
-    return lo[mask & 0xFF] | hi[mask >> 8 & 0xFF]
+    return lo[mask & 0xFF] | hi[mask >> 8]
 
 
 def canonical_form(mask: int) -> OrbitRecord:

@@ -1,64 +1,28 @@
-"""Extended reduction map Phi_V and its entanglement-witness evaluation.
+"""The k=1 witness scan of the extended reduction criterion, in integers.
 
 Phi_V[B] = Tr(B) I_4 - B - V B^T V*  with V unitary and antisymmetric.
-Partially applied to the second party of a lattice state, its matrix
-elements in the entangled basis are controlled by the k-matrix; a site
-with k = 1 admits a single-Pauli V giving the value -1/(2N).
+Partially applied to the second party of a lattice state, its diagonal
+element at psi_mn (conjugated by I x V) is (k_mn - 2 absorbed) / (2N)
+for a single-Pauli V = sigma_xy, where absorbed counts the sites (a, b)
+of I with (mu ^ a, nu ^ b) = (x, y): the index map i_mu(a) of the Pauli
+product s_mu s_a is mu ^ a.  A site with k_mn = 1 has one point of I on
+its cross; :func:`canonical_slot` picks the V that absorbs it, so the
+value is -1/(2N).
 
-Every value here is computed in closed form; :func:`lattice16.dense.oracle_sweep`
-checks the k=1 witness by the dense operator route on every subset, exactly.
+The scan checks that identity with integers only.  The operator route
+for a general V lives in :mod:`lattice16.dense`, whose
+:func:`~lattice16.dense.oracle_sweep` proves every k=1 witness value
+against the dense operators, exactly.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from . import lattice, pauli
+from . import lattice
 from .lattice import ConsistencyError
 
-__all__ = [
-    "VMatrix",
-    "WitnessReport",
-    "theta_v",
-    "phi_v",
-    "apply_id_tensor_phi",
-    "canonical_v_for",
-    "pauli_coefficients",
-    "phi_v_tilde_diagonal",
-    "witness_scan",
-    "random_admissible_v",
-]
-
-
-@dataclass(frozen=True)
-class VMatrix:
-    """An admissible 4x4 unitary antisymmetric matrix with its Pauli
-    expansion (supported only on slots (a,2) and (2,b), a,b != 2).
-    Both arrays are read-only copies."""
-
-    matrix: np.ndarray
-    label: str = "general"
-    coefficients: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError("V must be 4x4")
-        if np.abs(m @ m.conj().T - np.eye(4)).max() > 1e-12:
-            raise ValueError("V is not unitary")
-        if np.abs(m.T + m).max() > 1e-12:
-            raise ValueError("V is not antisymmetric")
-        c = pauli_coefficients(m)
-        two = np.arange(4) == 2
-        if np.any((np.abs(c) > 1e-12) & (two[:, None] == two)):
-            raise ValueError("V has Pauli support outside the antisymmetric slots")
-        m.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "coefficients", c)
+__all__ = ["WitnessReport", "canonical_slot", "witness_scan"]
 
 
 @dataclass(frozen=True)
@@ -83,94 +47,34 @@ class WitnessReport:
         }
 
 
-def pauli_coefficients(m: np.ndarray) -> np.ndarray:
-    """Expansion coefficients v[a][b] of a 4x4 matrix over sigma_ab."""
-    return np.array(
-        [[np.trace(pauli.sigma_pair(a, b) @ m) / 4 for b in range(4)] for a in range(4)]
-    )
-
-
-def theta_v(v: VMatrix, b: np.ndarray) -> np.ndarray:
-    """The antiunitary conjugation B -> V B^T V*."""
-    return v.matrix @ b.T @ v.matrix.conj().T
-
-
-def phi_v(v: VMatrix, b: np.ndarray) -> np.ndarray:
-    """Tr(B) I - B - theta_V[B]; positive on positive inputs."""
-    return np.trace(b) * np.eye(4) - b - theta_v(v, b)
-
-
-def apply_id_tensor_phi(v: VMatrix, rho: np.ndarray) -> np.ndarray:
-    """Apply Phi_V to the second factor of a 16x16 bipartite operator, or
-    of each one in a stack of shape (..., 16, 16)."""
-    lead = rho.shape[:-2]
-    blocks = rho.reshape(*lead, 4, 4, 4, 4)  # (i, a, j, b): block (i,j), entry (a,b)
-    traces = np.einsum("...iaja->...ij", blocks)
-    vm = v.matrix
-    theta = np.einsum("ca,...ibja,db->...icjd", vm, blocks, vm.conj())
-    out = np.einsum("...ij,ab->...iajb", traces, np.eye(4)) - blocks - theta
-    return out.reshape(*lead, 16, 16)
-
-
-@functools.cache
-def _single_pauli_v(a: int, b: int) -> VMatrix:
-    """sigma_ab as a VMatrix; ConsistencyError if it is not admissible,
-    since the slot comes from lattice16's own index maps."""
-    try:
-        return VMatrix(pauli.sigma_pair(a, b), label=f"sigma_{a}{b}")
-    except ValueError as exc:
-        raise ConsistencyError(f"sigma_{a}{b} is not an admissible V: {exc}") from exc
-
-
-def canonical_v_for(
+def canonical_slot(
     contributing: tuple[int, int], center: tuple[int, int]
-) -> VMatrix:
-    """The single-Pauli V witnessing a k=1 cross (one of six cached
-    objects).
+) -> tuple[int, int]:
+    """The Pauli slot (x, y) of the V = sigma_xy witnessing a k=1 cross.
 
     ``center`` is the cross center (mu+2, nu+2) and ``contributing`` the
     one point of I on the cross (center excluded).  The row case picks
-    V = sigma_{i_mu(alpha), 2}, the column case V = sigma_{2, i_nu(beta)}.
+    (i_mu(alpha), 2), the column case (2, i_nu(beta)), with i_mu(alpha)
+    = mu ^ alpha.
     """
     a2, b2 = center
-    mu, nu = a2 ^ 2, b2 ^ 2
     alpha, beta = contributing
     if contributing == center:
         raise ValueError("contributing site coincides with the cross center")
     if beta == b2 and alpha != a2:
-        return _single_pauli_v(pauli.index_map(mu)[alpha], 2)
+        return a2 ^ 2 ^ alpha, 2
     if alpha == a2 and beta != b2:
-        return _single_pauli_v(2, pauli.index_map(nu)[beta])
+        return 2, b2 ^ 2 ^ beta
     raise ValueError("contributing site is not on the cross")
-
-
-def phi_v_tilde_diagonal(
-    mask: int, mu: int, nu: int, v: VMatrix
-) -> float:
-    """Closed-form diagonal element <psi_mn| (id x Phi~_V)[rho_I] |psi_mn>.
-
-    Equals k_mn/(2N) - (1/N) sum over (a,b) in I of |v_{i_mu(a), i_nu(b)}|^2.
-    """
-    points = lattice.sites(mask)
-    if not points:
-        raise lattice.EmptySubsetError("no lattice state for the empty subset")
-    return _tilde_value(lattice.k_matrix(mask)[mu][nu], points, mu, nu, v)
-
-
-def _tilde_value(k: int, points: list, mu: int, nu: int, v: VMatrix) -> float:
-    """phi_v_tilde_diagonal from the k-matrix entry k_mn and the N sites."""
-    n = len(points)
-    imu = pauli.index_map(mu)
-    inu = pauli.index_map(nu)
-    absorbed = sum(abs(v.coefficients[imu[a], inu[b]]) ** 2 for a, b in points)
-    return k / (2.0 * n) - absorbed / n
 
 
 def witness_scan(mask: int) -> list[WitnessReport]:
     """All k=1 sites of a PPT subset with their canonical witnesses.
 
-    Each report carries the value computed in closed form, which must
-    equal -1/(2N) exactly.  Empty when no k-matrix entry equals 1.
+    For each one, checks that the slot of :func:`canonical_slot` is
+    admissible (exactly one index equal to 2) and that it absorbs the
+    contributor, so that 2N times the value is k - 2 absorbed = -1;
+    ConsistencyError otherwise.  Empty when no k-matrix entry equals 1.
     """
     if not lattice.is_ppt(mask):
         raise ValueError("witness scan is only defined for PPT subsets")
@@ -188,11 +92,14 @@ def witness_scan(mask: int) -> list[WitnessReport]:
                 raise ConsistencyError(
                     f"k=1 at {(mu, nu)} but {len(points)} contributors on its cross"
                 )
-            v = canonical_v_for(points[0], (a2, b2))
-            value = _tilde_value(k[mu][nu], in_mask, mu, nu, v)
-            if value != -1.0 / (2 * n):
+            x, y = canonical_slot(points[0], (a2, b2))
+            if (x == 2) == (y == 2):
+                raise ConsistencyError(f"sigma_{x}{y} is not an admissible V")
+            absorbed = mask >> (4 * (mu ^ x) + (nu ^ y)) & 1
+            if k[mu][nu] - 2 * absorbed != -1:
                 raise ConsistencyError(
-                    f"canonical witness value {value} != -1/(2*{n})"
+                    f"sigma_{x}{y} at {(mu, nu)}: 2N * value = "
+                    f"{k[mu][nu] - 2 * absorbed}, not -1"
                 )
             reports.append(
                 WitnessReport(
@@ -200,17 +107,8 @@ def witness_scan(mask: int) -> list[WitnessReport]:
                     center=(a2, b2),
                     center_in_subset=bool(mask >> (4 * a2 + b2) & 1),
                     contributing_site=points[0],
-                    v_label=v.label,
-                    value=value,
+                    v_label=f"sigma_{x}{y}",
+                    value=-1.0 / (2 * n),
                 )
             )
     return reports
-
-
-def random_admissible_v(rng: np.random.Generator) -> VMatrix:
-    """Haar-style random admissible V: congruence of sigma_20 by a
-    random unitary preserves both antisymmetry and unitarity."""
-    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return VMatrix(q @ pauli.sigma_pair(2, 0) @ q.T, label="random")

@@ -33,7 +33,7 @@ def local_unitary_for(g: SymmetryElement) -> np.ndarray:
     else:
         raise ValueError("not a single published generator")
     for gamma in (1, 2, 3):
-        if perm == pauli.index_map(gamma):
+        if perm == tuple(gamma ^ b for b in range(4)):
             # Conjugation by I (x) sigma_{gamma,0} (or sigma_{0,gamma}).
             s = (
                 pauli.sigma_pair(gamma, 0)

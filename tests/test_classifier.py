@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice16 import classifier, lattice, seplp, symmetry, tables
+from lattice16 import classifier, lattice, seplp, symmetry, tables, witness
 from lattice16.classifier import Justification, Label
 
 
@@ -180,3 +180,20 @@ CENSUS_SHA256 = "c67b3bd90041241a2f8c4946e2de55acbdd9e6208f4d3cd5a9bce8d6cdcab30
 def test_census_jsonl_golden():
     text = classifier.census_to_jsonl(classifier.census())
     assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_SHA256
+
+
+def test_masks_outside_16_bits_are_rejected():
+    # Bits above 15 and negative masks name no subset: every entry point
+    # refuses them rather than truncating to 16 bits (0x1EEE0 is PPT
+    # after truncation, -1 the full mask and 0x10000 the empty one).
+    for mask in (0x1EEE0, -1, 0x10000):
+        for check in (
+            lattice.cardinality,
+            lattice.is_ppt,
+            classifier.classify,
+            witness.witness_scan,
+            seplp.decompose,
+            symmetry.canonical_form,
+        ):
+            with pytest.raises(ValueError, match="outside 0..0xFFFF"):
+                check(mask)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lattice16 import cli, pauli, seplp, witness
+from lattice16 import cli, dense, pauli, seplp, witness
 
 ROOT = Path(__file__).resolve().parents[1]
 RHO6 = ".XX./.XX./.XX./...."
@@ -283,17 +283,14 @@ def test_verify_under_optimize():
 
 
 def test_inadmissible_internal_v_is_consistency_violation(capsys, monkeypatch):
-    # An index map pointing at slot (2, 2) makes canonical_v_for build
-    # sigma_22, which is symmetric: lattice16's own data is at fault, so
-    # verify reports a consistency violation, not a traceback.  A bad V
-    # supplied by the caller is still a ValueError.
+    # A slot rule returning (2, 2) picks sigma_22, which is symmetric:
+    # lattice16's own data is at fault, so both the integer scan and the
+    # dense oracle report a consistency violation, not a traceback.  A
+    # bad V supplied by the caller is still a ValueError.
     with pytest.raises(ValueError):
-        witness.VMatrix(pauli.sigma_pair(2, 2))
-    monkeypatch.setattr(pauli, "index_map", lambda alpha: (2, 2, 2, 2))
-    witness._single_pauli_v.cache_clear()
-    try:
-        code, out, err = run(capsys, "verify")
-    finally:
-        witness._single_pauli_v.cache_clear()
-    assert code == 1
-    assert "consistency violation" in err and "sigma_22" in err
+        dense.VMatrix(pauli.sigma_pair(2, 2))
+    monkeypatch.setattr(witness, "canonical_slot", lambda contributing, center: (2, 2))
+    for argv in (("witness", EX2R), ("verify",)):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert "consistency violation" in err and "sigma_22" in err, argv

@@ -241,15 +241,21 @@ def test_oracle_sweep_small():
 
 def test_oracle_sweep_reports_wrong_witness(monkeypatch):
     # A V that ignores the contributor gives a wrong dense witness value
-    # on the masks whose contributor needs another Pauli slot.
-    monkeypatch.setattr(
-        witness, "canonical_v_for",
-        lambda contributing, center: witness.VMatrix(pauli.sigma_pair(2, 0)),
-    )
+    # on the masks whose contributor needs another Pauli slot, and the
+    # integer check of witness_scan rejects exactly those masks.
+    monkeypatch.setattr(witness, "canonical_slot", lambda contributing, center: (2, 0))
     report = dense.oracle_sweep()
     kinds = {kind for kind, _ in report["disagreements"]}
     assert kinds == {"witness"}
     assert 0 < len(report["disagreements"]) <= 2688
+    flagged = {mask for _, mask in report["disagreements"]}
+    raised = set()
+    for mask in set(dense._witness_values()[0].tolist()):
+        try:
+            witness.witness_scan(mask)
+        except lattice.ConsistencyError:
+            raised.add(mask)
+    assert raised == flagged
 
 
 def test_oracle_sweep_reports_broken_tables(monkeypatch):
@@ -261,3 +267,105 @@ def test_oracle_sweep_reports_broken_tables(monkeypatch):
     monkeypatch.setattr(tables, "k_table", lambda: k)
     report = dense.oracle_sweep()
     assert report["disagreements"] == [("ppt_sign", 0x1357), ("spectrum", 0x0F0F)]
+
+
+def _random_psd(rng):
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return z @ z.conj().T
+
+
+def test_vmatrix_validation():
+    with pytest.raises(ValueError):
+        dense.VMatrix(np.eye(4))  # symmetric, not antisymmetric
+    with pytest.raises(ValueError):
+        dense.VMatrix(0.5 * pauli.sigma_pair(2, 0))  # not unitary
+    v = dense.VMatrix(pauli.sigma_pair(2, 0))
+    assert abs(v.coefficients[2, 0] - 1) < 1e-12
+    assert np.abs(v.coefficients).sum() == pytest.approx(1.0, abs=1e-12)
+    assert not v.matrix.flags.writeable
+    assert not v.coefficients.flags.writeable
+
+
+def test_antisymmetric_pauli_slots():
+    # The six antisymmetric sigma_ab (exactly one index equal to 2) span
+    # the whole antisymmetric 4x4 space, so every antisymmetric unitary
+    # has admissible support. Accept each of them plus a unitary mix.
+    for a in (0, 1, 3):
+        dense.VMatrix(pauli.sigma_pair(a, 2))
+        dense.VMatrix(pauli.sigma_pair(2, a))
+    mix = (pauli.sigma_pair(1, 2) + pauli.sigma_pair(3, 2)) / np.sqrt(2)
+    assert np.abs(mix @ mix.conj().T - np.eye(4)).max() < 1e-12
+    dense.VMatrix(mix)
+
+
+def test_pauli_coefficients_round_trip():
+    m = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
+    c = dense.pauli_coefficients(m)
+    recon = sum(
+        c[a, b] * pauli.sigma_pair(a, b) for a in range(4) for b in range(4)
+    )
+    assert np.abs(recon - m).max() < 1e-12
+
+
+def test_theta_and_phi_definitions():
+    v = dense.VMatrix(pauli.sigma_pair(2, 0))
+    b = _random_psd(RNG)
+    assert np.abs(
+        dense.theta_v(v, b) - v.matrix @ b.T @ v.matrix.conj().T
+    ).max() == 0
+    out = dense.phi_v(v, b)
+    expected = np.trace(b) * np.eye(4) - b - dense.theta_v(v, b)
+    assert np.abs(out - expected).max() < 1e-12
+
+
+def test_phi_positive_on_psd():
+    # The defining property of the extended reduction map: it sends
+    # positive matrices to positive matrices for every admissible V.
+    vs = [dense.random_admissible_v(RNG) for _ in range(10)]
+    vs.append(dense.VMatrix(pauli.sigma_pair(2, 0)))
+    vs.append(dense.VMatrix(pauli.sigma_pair(1, 2)))
+    for _ in range(1000):
+        b = _random_psd(RNG)
+        for v in vs:
+            assert np.linalg.eigvalsh(dense.phi_v(v, b)).min() > -1e-9
+
+
+def test_apply_id_tensor_phi_on_kron():
+    v = dense.random_admissible_v(RNG)
+    a = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
+    b = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
+    got = dense.apply_id_tensor_phi(v, np.kron(a, b))
+    expected = np.kron(a, dense.phi_v(v, b))
+    assert np.abs(got - expected).max() < 1e-10
+
+
+def test_tilde_and_plain_spectra_agree():
+    # Conjugating by I (x) V is unitary, so the two routes share spectra.
+    for _ in range(10):
+        mask = int(RNG.integers(1, lattice.FULL_MASK + 1))
+        v = dense.random_admissible_v(RNG)
+        rho = dense.build_lattice_state(mask)
+        out = dense.apply_id_tensor_phi(v, rho)
+        iv = np.kron(np.eye(4), v.matrix)
+        tilde = iv.conj().T @ out @ iv
+        assert np.abs(
+            np.linalg.eigvalsh(out) - np.linalg.eigvalsh(tilde)
+        ).max() < 1e-10
+
+
+def test_closed_form_matches_dense_random():
+    for _ in range(10):
+        mask = int(RNG.integers(1, lattice.FULL_MASK + 1))
+        v = dense.random_admissible_v(RNG)
+        dense_vals = dense._tilde_diagonal(dense.build_lattice_state(mask), v)
+        for mu, nu in ((0, 0), (1, 3), (2, 2)):
+            closed = dense.phi_v_tilde_diagonal(mask, mu, nu, v)
+            assert closed == pytest.approx(dense_vals[mu, nu], abs=1e-10)
+
+
+def test_random_admissible_v_is_admissible():
+    for _ in range(20):
+        v = dense.random_admissible_v(RNG)
+        m = v.matrix
+        assert np.abs(m @ m.conj().T - np.eye(4)).max() < 1e-10
+        assert np.abs(m + m.T).max() < 1e-10

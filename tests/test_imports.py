@@ -9,15 +9,20 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_classify_and_certificate_check_do_not_load_dense():
     # Every verdict is decided, and every certificate checked, with
-    # integers and fractions: the dense oracle stays unloaded.
+    # integers and fractions: an NPT, a witnessed and an LP-certified
+    # mask leave the dense oracle and the Pauli matrices unloaded.
     script = (
         "import sys\n"
         "import lattice16\n"
-        "mask = lattice16.parse_subset('.XX./.XX./.XX./....')\n"
-        "cls = lattice16.classify(mask)\n"
-        "assert cls.justification is lattice16.Justification.LP_CERTIFICATE\n"
+        "from lattice16 import Justification as J\n"
+        "for text, just in (('0x0003', J.PROP1A_VIOLATION),\n"
+        "                   ('XX.X/X.X./.X.X/XX.X', J.PROP3_WITNESS),\n"
+        "                   ('.XX./.XX./.XX./....', J.LP_CERTIFICATE)):\n"
+        "    mask = lattice16.parse_subset(text)\n"
+        "    cls = lattice16.classify(mask)\n"
+        "    assert cls.justification is just, (text, cls)\n"
         "assert lattice16.verify_certificate(lattice16.decompose(mask))\n"
-        "print('lattice16.dense' in sys.modules)\n"
+        "print('lattice16.pauli' in sys.modules, 'lattice16.dense' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -25,7 +30,7 @@ def test_classify_and_certificate_check_do_not_load_dense():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
 
 
 def test_cold_lp_classify_builds_no_whole_space_table():
@@ -52,9 +57,13 @@ def test_cold_lp_classify_builds_no_whole_space_table():
     assert proc.stdout == "0 0 0\n"
 
 
-def test_src_does_not_import_scipy():
-    # numpy is the only runtime dependency.
+def _assert_no_import(package, modules=None):
+    """No module of src/lattice16 (or only the named ones) imports
+    ``package`` or a submodule of it."""
     files = sorted((ROOT / "src").rglob("*.py"))
+    if modules is not None:
+        files = [f for f in files if f.stem in modules]
+        assert len(files) == len(modules)
     assert files
     for path in files:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -64,4 +73,15 @@ def test_src_does_not_import_scipy():
                 names = [node.module or ""]
             else:
                 continue
-            assert not any(n.split(".")[0] == "scipy" for n in names), path
+            assert not any(n.split(".")[0] == package for n in names), path
+
+
+def test_src_does_not_import_scipy():
+    # numpy is the only runtime dependency.
+    _assert_no_import("scipy")
+
+
+def test_integer_modules_do_not_import_numpy():
+    # The combinatorics, the exact LP and the k=1 witness scan work in
+    # integers and fractions only.
+    _assert_no_import("numpy", {"lattice", "simplex", "seplp", "witness"})

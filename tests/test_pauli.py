@@ -14,6 +14,24 @@ def flip_operator() -> np.ndarray:
             f[4 * b + a, 4 * a + b] = 1.0
     return f
 
+def eta(alpha: int) -> np.ndarray:
+    """eta^a_{bm} = Tr(s_a s_b s_m) / 2."""
+    s = [pauli.pauli(a) for a in range(4)]
+    return np.array(
+        [[np.trace(s[alpha] @ s[b] @ s[m]) / 2.0 for m in range(4)] for b in range(4)]
+    )
+
+
+def index_map(alpha: int) -> tuple[int, int, int, int]:
+    """i_alpha(beta): the unique m with s_a s_b proportional to s_m,
+    read off the nonzero entry of row beta of eta^alpha."""
+    out = []
+    for row in eta(alpha):
+        (m,) = np.flatnonzero(np.abs(row) > 0.5)
+        out.append(int(m))
+    return tuple(out)
+
+
 ETA_EXPECTED = {
     1: np.array(
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1j], [0, 0, -1j, 0]]
@@ -52,7 +70,6 @@ def test_cached_arrays_are_read_only():
     for get in (pauli.sigma_pair, pauli.psi_pair, pauli.projector):
         m = get(1, 2)
         assert m is get(1, 2) and not m.flags.writeable
-    assert not pauli.eta(2).flags.writeable
 
 
 def test_psi_plus_norm_and_shape():
@@ -99,14 +116,14 @@ def test_projector_00_is_psi_plus():
 
 
 def test_eta_identity_and_hardcoded():
-    assert np.array_equal(pauli.eta(0), np.eye(4))
+    assert np.array_equal(eta(0), np.eye(4))
     for a, expected in ETA_EXPECTED.items():
-        assert np.abs(pauli.eta(a) - expected).max() == 0
+        assert np.abs(eta(a) - expected).max() == 0
 
 
 def test_eta_hermitian_unitary():
     for a in range(4):
-        t = pauli.eta(a)
+        t = eta(a)
         assert np.abs(t - t.conj().T).max() == 0
         assert np.abs(t @ t.conj().T - np.eye(4)).max() == 0
 
@@ -115,34 +132,42 @@ def test_eta_cyclic_symmetry():
     for a in range(4):
         for b in range(4):
             for m in range(4):
-                assert pauli.eta(a)[b, m] == pauli.eta(m)[a, b]
-                assert pauli.eta(a)[b, m] == pauli.eta(b)[m, a]
+                assert eta(a)[b, m] == eta(m)[a, b]
+                assert eta(a)[b, m] == eta(b)[m, a]
 
 
 def test_product_monomial_identity():
     # s_a s_b = eta^a_{b, i_a(b)} s_{i_a(b)}, entrywise for all pairs.
     for a in range(4):
-        imap = pauli.index_map(a)
+        imap = index_map(a)
         for b in range(4):
             mu = imap[b]
             lhs = pauli.pauli(a) @ pauli.pauli(b)
-            rhs = pauli.eta(a)[b, mu] * pauli.pauli(mu)
+            rhs = eta(a)[b, mu] * pauli.pauli(mu)
             assert np.abs(lhs - rhs).max() == 0
 
 
 def test_index_maps():
-    assert pauli.index_map(0) == (0, 1, 2, 3)
-    assert pauli.index_map(1) == (1, 0, 3, 2)
-    assert pauli.index_map(2) == (2, 3, 0, 1)  # beta + 2 mod 4
-    assert pauli.index_map(3) == (3, 2, 1, 0)
+    assert index_map(0) == (0, 1, 2, 3)
+    assert index_map(1) == (1, 0, 3, 2)
+    assert index_map(2) == (2, 3, 0, 1)  # beta + 2 mod 4
+    assert index_map(3) == (3, 2, 1, 0)
+
+
+def test_index_map_is_xor():
+    # lattice16 uses i_alpha(beta) = alpha ^ beta wherever it needs the
+    # index map; the product of Pauli matrices agrees on all 16 pairs.
+    for a in range(4):
+        for b in range(4):
+            assert index_map(a)[b] == a ^ b
 
 
 def test_index_map_involution_and_symmetry():
     for a in range(4):
-        imap = pauli.index_map(a)
+        imap = index_map(a)
         for b in range(4):
             assert imap[imap[b]] == b
-            assert imap[b] == pauli.index_map(b)[a]
+            assert imap[b] == index_map(b)[a]
 
 
 def test_flip_involution_and_action():
