@@ -6,9 +6,11 @@ operators.
 
 Every projector P_ab is real, and rho_I is a real combination of them,
 so the whole module works in real dtype.  Each partially transposed
-projector is exactly +-1/4 sum_mn P_mn, so 4N rho_I^Gamma has the
-integer eigenvalue N - 2 k_mn on psi_mn.  The sweep proves the 16
-identities in exact (dyadic) float arithmetic, then checks the
+projector is exactly +-1/4 sum_mn P_mn, so on psi_mn 4N rho_I^Gamma has
+the eigenvalue 2 |I & P+_mn| - N, where P+_mn is the set of sites whose
+sign is +1; the closed form says it is N - 2 k_mn.  The sweep proves
+the 16 identities in exact (dyadic) float arithmetic, counts
+|I & P+_mn| for every mask from two byte tables, and checks the
 spectrum, the PPT flag and the k=1 witness value of every mask with
 integer equality.
 
@@ -164,14 +166,18 @@ def _pt_signs() -> np.ndarray:
 
 
 def pt_spectrum(mask: int) -> np.ndarray:
-    """Numeric spectrum of the partial transpose of rho_I, ascending."""
-    return _pt_spectra(np.array([mask & lattice.FULL_MASK]))[0]
+    """Numeric spectrum of the partial transpose of rho_I, ascending;
+    ValueError unless 0 <= mask <= FULL_MASK."""
+    lattice.cardinality(mask)  # the range check
+    return _pt_spectra(np.array([mask]))[0]
 
 
 def analytic_pt_spectrum(mask: int) -> np.ndarray:
-    """The closed-form partial-transpose spectrum {1/4 - k_mn/(2N)}, ascending."""
-    mask &= lattice.FULL_MASK
-    n = _cardinalities(np.array([mask]))[0]
+    """The closed-form partial-transpose spectrum {1/4 - k_mn/(2N)},
+    ascending; ValueError unless 0 <= mask <= FULL_MASK."""
+    n = lattice.cardinality(mask)
+    if n == 0:
+        raise lattice.EmptySubsetError("no lattice state for the empty subset")
     return np.sort(0.25 - tables.k_table()[mask] / (2.0 * n))
 
 
@@ -311,20 +317,39 @@ def _witness_values() -> tuple[np.ndarray, np.ndarray]:
     return masks, (weight[contributor, sites] * bits).sum(axis=1)
 
 
+def _positive_counts() -> np.ndarray:
+    """(65536, 16) uint8 table |I & P+_mn|, row m for mask m, where P+_mn
+    is the set of sites s with sign[s, mn] = +1 in :func:`_pt_signs`.
+
+    Built as the outer sum of two (256, 16) byte tables, one per byte of
+    the mask, so no whole-space product is formed.
+    """
+    plus = (_pt_signs() > 0).astype(np.uint8)
+    byte_bits = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(np.uint8)
+    lo, hi = byte_bits @ plus[:8], byte_bits @ plus[8:]
+    return (hi[:, None] + lo[None]).reshape(-1, 16)
+
+
 def oracle_sweep() -> dict:
     """Check the combinatorial PPT flag, the closed-form PT spectrum and
     the k=1 witness value against the dense operators on every nonempty
     mask, with exact equality.
 
+    On psi_mn, 4N rho_I^Gamma has the eigenvalue sum over s in I of
+    sign[s, mn] = 2 |I & P+_mn| - N, so the spectrum check is the count
+    equality |I & P+_mn| = N - k_mn and the PPT flag is
+    2 min_mn |I & P+_mn| >= N.
+
     Returns a report dict; ``report["disagreements"]`` is empty on success.
     """
-    masks = tables.masks()[1:]
-    spectra = _bits(masks) @ _pt_signs()  # column mn: 4N rho_I^Gamma on psi_mn
-    n = _cardinalities(masks).astype(np.int64)[:, None]
-    # Index i below is mask i + 1.
+    # Index i below is mask i + 1; pos[i, mn] is |I & P+_mn|.
+    pos = _positive_counts()[1:]
+    n = tables.cardinality()[1:]
+    # uint8 arithmetic wraps mod 256, but pos and n lie in 0..16, so
+    # pos == n - k holds mod 256 only if k == n - pos exactly.
     checks = (
-        ("ppt_sign", tables.ppt()[1:] != (spectra.min(axis=1) >= 0)),
-        ("spectrum", (spectra != n - 2 * tables.k_table()[masks]).any(axis=1)),
+        ("ppt_sign", tables.ppt()[1:] != (2 * pos.min(axis=1) >= n)),
+        ("spectrum", (pos != n[:, None] - tables.k_table()[1:]).any(axis=1)),
     )
     disagreements = [
         (kind, int(i) + 1) for kind, bad in checks for i in np.flatnonzero(bad)
@@ -334,8 +359,8 @@ def oracle_sweep() -> dict:
     failed = witnessed[values != -0.5].tolist()
     disagreements += [("witness", m) for m in sorted(set(failed))]
     return {
-        "masks_swept": len(masks),
-        "spectra_checked": len(spectra),
+        "masks_swept": len(pos),
+        "spectra_checked": len(pos),
         "witnesses_checked": len(values),
         "disagreements": disagreements,
     }

@@ -67,11 +67,16 @@ def sites(mask: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(4) for b in range(4) if mask >> (4 * a + b) & 1]
 
 
-def cardinality(mask: int) -> int:
-    """N = |I|; ValueError unless 0 <= mask <= FULL_MASK."""
+def _in_range(mask: int) -> int:
+    """The mask itself; ValueError unless 0 <= mask <= FULL_MASK."""
     if not 0 <= mask <= FULL_MASK:
         raise ValueError(f"mask {mask!r} is outside 0..0x{FULL_MASK:04X}")
-    return mask.bit_count()
+    return mask
+
+
+def cardinality(mask: int) -> int:
+    """N = |I|; ValueError unless 0 <= mask <= FULL_MASK."""
+    return _in_range(mask).bit_count()
 
 
 def column_counts(mask: int) -> list[int]:
@@ -169,8 +174,9 @@ def parse_subset(text: str) -> int:
 
 
 def render_subset(mask: int, form: str = "grid") -> str:
-    """Render a subset as "grid", "pairs", "hex" or a labeled "table"."""
-    mask &= FULL_MASK
+    """Render a subset as "grid", "pairs", "hex" or a labeled "table";
+    ValueError unless 0 <= mask <= FULL_MASK."""
+    _in_range(mask)
     if form == "hex":
         return f"0x{mask:04X}"
     if form == "pairs":

@@ -21,7 +21,6 @@ from . import lattice
 __all__ = [
     "SymmetryElement",
     "OrbitRecord",
-    "IDENTITY",
     "generators",
     "group",
     "act",
@@ -46,27 +45,6 @@ class SymmetryElement:
         if self.swap_axes:
             alpha, beta = beta, alpha
         return self.col_perm[alpha], self.row_perm[beta]
-
-    def compose(self, other: "SymmetryElement") -> "SymmetryElement":
-        """self after other."""
-        pc, pr = other.col_perm, other.row_perm
-        if self.swap_axes:
-            pc, pr = pr, pc
-        return SymmetryElement(
-            tuple([self.col_perm[i] for i in pc]),
-            tuple([self.row_perm[i] for i in pr]),
-            self.swap_axes != other.swap_axes,
-        )
-
-    def inverse(self) -> "SymmetryElement":
-        inv_c = [0] * 4
-        inv_r = [0] * 4
-        for i in range(4):
-            inv_c[self.col_perm[i]] = i
-            inv_r[self.row_perm[i]] = i
-        if not self.swap_axes:
-            return SymmetryElement(tuple(inv_c), tuple(inv_r), False)
-        return SymmetryElement(tuple(inv_r), tuple(inv_c), True)
 
     @functools.cache  # elements are immutable; the group holds them all anyway
     def site_map(self) -> tuple[int, ...]:
@@ -94,7 +72,6 @@ class OrbitRecord:
 
 
 _ID_PERM = (0, 1, 2, 3)
-IDENTITY = SymmetryElement(_ID_PERM, _ID_PERM, False)
 
 
 def generators() -> list[SymmetryElement]:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from lattice16 import pauli
-from lattice16.symmetry import IDENTITY, SymmetryElement
+from lattice16.symmetry import SymmetryElement
 
-_ID_PERM = IDENTITY.col_perm
+_ID_PERM = (0, 1, 2, 3)
 
 
 def local_unitary_for(g: SymmetryElement) -> np.ndarray:

@@ -269,6 +269,67 @@ def test_oracle_sweep_reports_broken_tables(monkeypatch):
     assert report["disagreements"] == [("ppt_sign", 0x1357), ("spectrum", 0x0F0F)]
 
 
+def test_positive_counts_equal_sign_product():
+    # The int64 product bits @ signs is 4N rho_I^Gamma on each psi_mn, and
+    # 2 |I & P+_mn| - N by the +-1 signs; the byte tables count the same.
+    masks = tables.masks()
+    pos = dense._positive_counts()
+    assert pos.dtype == np.uint8 and pos.shape == (len(masks), 16)
+    n = tables.cardinality()[:, None].astype(np.int64)
+    product = dense._bits(masks) @ dense._pt_signs()
+    assert np.array_equal(2 * pos.astype(np.int64), product + n)
+
+
+def test_oracle_sweep_reports_flipped_sign(monkeypatch):
+    # sign[s, mn] flipped, still +-1: every mask holding site s gets a
+    # wrong count in column mn, and no other mask does.
+    s, mn = 6, 9
+    signs = dense._pt_signs()
+    flipped = signs.copy()
+    flipped[s, mn] = -flipped[s, mn]
+    monkeypatch.setattr(dense, "_pt_signs", lambda: flipped)
+    report = dense.oracle_sweep()
+    by_kind = {}
+    for kind, mask in report["disagreements"]:
+        by_kind.setdefault(kind, []).append(mask)
+    holding = [m for m in range(1, lattice.FULL_MASK + 1) if m >> s & 1]
+    assert by_kind["spectrum"] == holding
+    assert set(by_kind) <= {"spectrum", "ppt_sign"}
+    assert set(by_kind.get("ppt_sign", [])) <= set(holding)
+
+
+def test_oracle_sweep_needs_no_eigensolver(monkeypatch):
+    # The sweep is integer counting: no LAPACK call and no whole-space
+    # bit table.  Only ptspectrum reaches eigvalsh.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep called an eigensolver")
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    bits = dense._bits
+
+    def small_bits(masks):
+        assert len(masks) < lattice.FULL_MASK, "whole-space bit table"
+        return bits(masks)
+
+    monkeypatch.setattr(dense, "_bits", small_bits)
+    report = dense.oracle_sweep()
+    assert report["spectra_checked"] == lattice.FULL_MASK
+    assert report["disagreements"] == []
+    with pytest.raises(AssertionError, match="eigensolver"):
+        dense.pt_spectrum(0x1357)
+
+
+@pytest.mark.parametrize("spectrum", [dense.pt_spectrum, dense.analytic_pt_spectrum])
+def test_spectra_reject_masks_out_of_range(spectrum):
+    # Masking with FULL_MASK would name another subset: 0x10001 as 0x0001.
+    for mask in (-1, lattice.FULL_MASK + 1, 0x10001):
+        with pytest.raises(ValueError, match="outside"):
+            spectrum(mask)
+    with pytest.raises(lattice.EmptySubsetError):
+        spectrum(0)
+
+
 def _random_psd(rng):
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     return z @ z.conj().T

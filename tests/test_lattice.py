@@ -229,3 +229,10 @@ def test_render_table_and_unknown_form():
     assert table.endswith("0 1 2 3")
     with pytest.raises(ValueError):
         lattice.render_subset(1, "braille")
+
+
+@pytest.mark.parametrize("form", ["grid", "pairs", "hex", "table"])
+def test_render_rejects_masks_out_of_range(form):
+    for mask in (-1, lattice.FULL_MASK + 1, 0x10001):
+        with pytest.raises(ValueError, match="outside"):
+            lattice.render_subset(mask, form)
