@@ -70,6 +70,15 @@ class DecompositionCertificate:
             ],
         }
 
+    @classmethod
+    def from_json(cls, payload: dict) -> DecompositionCertificate:
+        """The inverse of :meth:`to_json`.  The result is not verified;
+        pass it to :func:`verify_certificate`."""
+        weights = {int(m, 16): Fraction(w) for m, w in payload["weights"]}
+        if len(weights) != len(payload["weights"]):
+            raise ValueError("a basis member is listed twice")
+        return cls(target=int(payload["target"], 16), weights=weights)
+
 
 @functools.cache  # called with canonical masks only: one LP per orbit
 def _decompose_direct(mask: int) -> DecompositionCertificate | None:

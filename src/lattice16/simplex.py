@@ -7,33 +7,46 @@ theorems about the constraint system, not numeric judgements.
 
 The tableau is fraction-free (Bareiss, Math. Comp. 22, 1968; Edmonds'
 integer-preserving Gauss-Jordan).  Each row is sign-flipped so that its
-right-hand side is nonnegative; the whole tableau ``[A | I | b]``,
-identity columns included, is scaled by ``L``, the lcm of all
-denominators, and the common denominator starts at ``D = 1``.  A pivot
-on ``(r, e)`` replaces every other row ``i``, the cost row included, by
+right-hand side is nonnegative; ``A`` and the artificial identity are
+scaled by ``L_A``, the lcm of ``A``'s denominators, the right-hand side
+by ``L_A·L_b``, with ``L_b`` the lcm of ``b``'s, and the common
+denominator starts at ``D = 1``.  A pivot on ``(r, e)`` replaces every
+other row ``i``, the cost row included, by
 ``(T[r][e]·T[i] - T[i][e]·T[r]) // D``, leaves row ``r`` as it is and
 sets ``D = T[r][e] > 0``.  The division is exact: by Sylvester's
 identity every entry it yields is, up to sign, a determinant formed
 from rows and columns of the initial integer tableau.  (Starting from
-``D = L`` instead would break this on rational input.)
+``D = L_A`` instead would break this on rational input.)
+
+Why the right-hand side is scaled on its own: after k pivots an entry
+is a (k+1)-minor of the initial tableau.  Scaling every row by one
+``L``, the lcm of all denominators, would multiply such a minor by
+``L^(k+1)``; on the census LPs (0/1 rows, ``b = 4/N``, so
+``L = N / gcd(N, 4)``, up to 13) entries would reach 59 bits.  A column
+factor enters a minor at most once, and only where the minor takes
+that column, so with ``L_A = 1`` and ``L_b`` on the ``b`` column alone
+the same LPs stay within 9 bits.
 
 Why this repeats the rational tableau ``R`` pivot for pivot: if row
 ``r`` has scale ``a`` (``T[r] = a·R[r]``) and row ``i`` scale ``c``,
 the update gives ``T'[i] = (a·c/D)·R[r][e]·R'[i]`` with
 ``D' = a·R[r][e]``, so ``T'[i]/D'`` is ``R'[i]`` times ``c/D``.  The
 pivot row becomes ``T[r]/D' = R'[r]`` exactly.  Hence ``T/D == R`` on
-every row that has been a pivot row, and ``T/D == L·R`` on the rows
-never pivoted and on the cost row.  Only positive factors separate the
-two, so the signs of the reduced costs, the ratio comparisons
-(cross-multiplied within two rows) and Bland's tie-break see exactly
-what the rational simplex sees; a structural basic variable sits in a
-row that was pivoted, so ``x_j = T[i][-1] / D``.
+every row that has been a pivot row, and ``T/D == L_A·R`` on the rows
+never pivoted and on the cost row, except that the ``b`` column reads
+``L_b`` times as much everywhere: a column scale commutes with row
+operations.  Only positive factors separate the two, so the signs of
+the reduced costs (which do not involve ``b``), the ratio comparisons
+(cross-multiplied within two rows, both sides carrying ``L_b``) and
+Bland's tie-break see exactly what the rational simplex sees; a
+structural basic variable sits in a row that was pivoted, so
+``x_j = T[i][-1] / (D·L_b)``.
 
 Farkas vector: phase 1 ends with every reduced cost ``C[j] >= 0``.
 With ``pi`` the final dual of the sign-flipped rows, the artificial
-column ``n+i`` has reduced cost ``1 - pi_i`` and ``C[n+i] = L·D·(1 -
-pi_i)``, so ``y_i = s_i·(C[n+i] - L·D)``, with ``s_i`` row i's sign
-flip, is ``-L·D·pi`` in the caller's frame: ``yᵀA >= 0`` because the
+column ``n+i`` has reduced cost ``1 - pi_i`` and ``C[n+i] = L_A·D·(1 -
+pi_i)``, so ``y_i = s_i·(C[n+i] - L_A·D)``, with ``s_i`` row i's sign
+flip, is ``-L_A·D·pi`` in the caller's frame: ``yᵀA >= 0`` because the
 structural reduced costs are nonnegative, and ``yᵀb < 0`` because the
 artificial sum stayed positive.  Such a ``y`` proves that no ``x >= 0``
 solves the system, since ``0 <= yᵀA x = yᵀb < 0``.
@@ -71,7 +84,7 @@ def is_farkas_certificate(
     no solution with x >= 0."""
     if len(y) != len(a_rows):
         return False
-    scale = _lcm_of_denominators(a_rows, b)
+    scale = _lcm_of_denominators([*a_rows, b])
     rows = _scaled(a_rows, scale)
     rhs = _scaled([b], scale)[0]
     if sum(yi * bi for yi, bi in zip(y, rhs)) >= 0:
@@ -79,10 +92,8 @@ def is_farkas_certificate(
     return all(sum(yi * v for yi, v in zip(y, col)) >= 0 for col in zip(*rows))
 
 
-def _lcm_of_denominators(a_rows, b) -> int:
-    dens = {x.denominator for row in a_rows for x in row}
-    dens.update(x.denominator for x in b)
-    return math.lcm(*dens)
+def _lcm_of_denominators(rows) -> int:
+    return math.lcm(*{x.denominator for row in rows for x in row})
 
 
 def _scaled(rows, scale: int) -> list[list[int]]:
@@ -96,13 +107,14 @@ def _phase1(a_rows, b) -> tuple[list[Fraction] | None, list[int] | None]:
     if m == 0:
         return [], None
     n = len(a_rows[0])
-    scale = _lcm_of_denominators(a_rows, b)
+    scale = _lcm_of_denominators(a_rows)
+    b_scale = _lcm_of_denominators([b])
     signs = [-1 if bi < 0 else 1 for bi in b]
 
-    # Phase-1 tableau L·[A | I_artificial | b], rows flipped to b >= 0,
-    # artificials basic.
+    # Phase-1 tableau [L_A·A | L_A·I_artificial | L_A·L_b·b], rows
+    # flipped to b >= 0, artificials basic.
     tab = []
-    rhs = _scaled([b], scale)[0]
+    rhs = _scaled([b], scale * b_scale)[0]
     for i, (row, s) in enumerate(zip(_scaled(a_rows, scale), signs)):
         unit = [0] * m
         unit[i] = scale
@@ -139,7 +151,7 @@ def _phase1(a_rows, b) -> tuple[list[Fraction] | None, list[int] | None]:
     x = [Fraction(0)] * n
     for i, bj in enumerate(basis):
         if bj < n:
-            x[bj] = Fraction(tab[i][-1], d)
+            x[bj] = Fraction(tab[i][-1], d * b_scale)
     return x, None
 
 

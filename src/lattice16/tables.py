@@ -15,7 +15,7 @@ import numpy as np
 
 from . import lattice
 
-__all__ = ["masks", "cardinality", "k_table", "ppt_margin", "ppt"]
+__all__ = ["masks", "cardinality", "k_table", "ppt"]
 
 _BYTE_WEIGHT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
@@ -62,18 +62,10 @@ def k_table() -> np.ndarray:
 
 
 @functools.cache
-def ppt_margin() -> np.ndarray:
-    """max over sites (a, b) of 2 * cross_count(mask, a, b) - N (int16).
-
-    A nonempty mask is PPT iff its margin is at most 0.
-    """
-    return _frozen(2 * k_table().max(axis=1).astype(np.int16) - cardinality())
-
-
-@functools.cache
 def ppt() -> np.ndarray:
-    """The PPT flag of every mask (bool); False for the empty mask, which
-    defines no state."""
-    flag = ppt_margin() <= 0
+    """The PPT flag of every mask (bool): 2 * cross_count(mask, a, b) <= N
+    at every site (a, b).  False for the empty mask, which defines no
+    state."""
+    flag = 2 * k_table().max(axis=1) <= cardinality()  # at most 14: no uint8 wrap
     flag[0] = False
     return _frozen(flag)

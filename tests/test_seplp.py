@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -204,3 +205,27 @@ def test_certificate_json_round_trip(grids):
         total += Fraction(int(num), int(den))
         assert int(m_hex, 16) in cert.weights
     assert total == 1
+
+
+def test_census_certificates_read_back():
+    # Every certificate the census writes parses back, through the JSONL
+    # text, to the certificate decompose returns, and still verifies.
+    records = classifier.census()
+    lines = classifier.census_to_jsonl(records).splitlines()
+    read = 0
+    for record, line in zip(records, lines):
+        payload = json.loads(line)["evidence"].get("certificate")
+        if payload is None:
+            continue
+        cert = seplp.DecompositionCertificate.from_json(payload)
+        assert cert == seplp.decompose(record.canonical)
+        assert cert.to_json() == payload
+        assert seplp.verify_certificate(cert)
+        read += 1
+    assert read == 44
+
+
+def test_from_json_rejects_a_repeated_member():
+    payload = {"target": "0x0033", "weights": [["0x0033", "1/2"], ["0x0033", "1/2"]]}
+    with pytest.raises(ValueError):
+        seplp.DecompositionCertificate.from_json(payload)

@@ -143,6 +143,25 @@ def test_census_lps_match_fraction_simplex(census_lps, monkeypatch):
         assert pivots == ref_pivots
 
 
+def test_census_tableau_entries_stay_small(census_lps, monkeypatch):
+    # Scaling b on its own keeps every tableau and cost-row entry of the
+    # census LPs within 9 bits (|v| < 512).  One lcm L on every row
+    # would compound to L^(k+1) after k pivots: 59 bits on these LPs.
+    widest = 0
+    real = simplex._pivot
+
+    def measuring(tab, cost, basis, leave, enter, d):
+        nonlocal widest
+        d = real(tab, cost, basis, leave, enter, d)  # d is an entry of tab
+        widest = max(widest, *(abs(v).bit_length() for row in [*tab, cost] for v in row))
+        return d
+
+    monkeypatch.setattr(simplex, "_pivot", measuring)
+    for a_rows, b in census_lps:
+        feasible_nonneg_solution(a_rows, b)
+    assert widest == 9
+
+
 def test_census_infeasible_lps_have_farkas_vectors(census_lps):
     infeasible = 0
     for a_rows, b in census_lps:
@@ -181,6 +200,38 @@ def test_random_systems_match_fraction_simplex(data):
     if x is None:
         _, y = simplex._phase1(a_rows, b)
         assert simplex.is_farkas_certificate(a_rows, b, y)
+
+
+def _integer_system(draw):
+    """seplp's shape: small integer A, b over one common denominator."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    a = [[draw(st.integers(-1, 2)) for _ in range(n)] for _ in range(m)]
+    den = draw(st.integers(1, 13))
+    b = [F(draw(st.integers(-6, 6)), den) for _ in range(m)]
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_scaling_b_keeps_the_pivot_path(data):
+    # The lemma the separate b scale rests on: b -> c·b with c > 0
+    # leaves every reduced cost and every ratio comparison as it was.
+    system = data.draw(st.sampled_from([_rational_system, _integer_system]))
+    a_rows, b = system(data.draw)
+    c = data.draw(st.builds(F, st.integers(1, 30), st.integers(1, 30)))
+    cb = [c * v for v in b]
+    with pytest.MonkeyPatch.context() as mp:
+        x, pivots = _integer_run(mp, a_rows, b)
+        cx, scaled_pivots = _integer_run(mp, a_rows, cb)
+    assert scaled_pivots == pivots
+    if x is None:
+        assert cx is None
+        _, y = simplex._phase1(a_rows, cb)
+        assert y == simplex._phase1(a_rows, b)[1]  # -L_A·D·pi: no b in it
+        assert simplex.is_farkas_certificate(a_rows, b, y)
+    else:
+        assert cx == [c * v for v in x]
 
 
 def test_tampered_farkas_vector_rejected(census_lps):

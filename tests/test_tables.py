@@ -12,8 +12,8 @@ ALL = lattice.FULL_MASK + 1
 def test_lattice_tables_match_scalar_functions():
     card = tables.cardinality()
     ppt = tables.ppt()
-    margin = tables.ppt_margin()
-    assert (card.dtype, ppt.dtype, margin.dtype) == (np.uint8, np.bool_, np.int16)
+    margin = 2 * tables.k_table().max(axis=1).astype(np.int16) - card
+    assert (card.dtype, ppt.dtype) == (np.uint8, np.bool_)
     assert len(card) == len(ppt) == len(margin) == ALL
     assert card[0] == 0 and not ppt[0]
     card, ppt, margin = card.tolist(), ppt.tolist(), margin.tolist()
@@ -36,7 +36,6 @@ def test_k_table_matches_k_matrix():
 
 def test_tables_are_read_only():
     for table in (tables.masks(), tables.cardinality(), tables.k_table(),
-                  tables.ppt_margin(),
                   tables.ppt(), symmetry.canonical_table(),
                   symmetry.orbit_size_table()):
         assert not table.flags.writeable
