@@ -19,10 +19,6 @@ any admissible V (unitary, antisymmetric), lives here too, as the
 oracle of the integer k=1 witness scan of :mod:`lattice16.witness`:
 the sweep applies it, through the dense operators, with the V that
 ``witness.canonical_slot`` picks.
-
-:func:`pt_spectrum` splits 4N rho_I^Gamma exactly into four integer
-4x4 blocks (basis |i j> sorted by i ^ j); only 625 distinct blocks
-occur over all masks, and LAPACK's eigvalsh runs once per block.
 """
 
 from __future__ import annotations
@@ -81,71 +77,6 @@ def _bits(masks: np.ndarray) -> np.ndarray:
     return masks[:, None] >> np.arange(16) & 1
 
 
-def _cardinalities(masks: np.ndarray) -> np.ndarray:
-    n = tables.cardinality()[masks]
-    if not n.all():
-        raise lattice.EmptySubsetError("no lattice state for the empty subset")
-    return n
-
-
-@functools.cache
-def _pt_blocks() -> np.ndarray:
-    """(16, 4, 16) int64 table: 4 P_s^Gamma as four 4x4 diagonal blocks.
-
-    With the basis states |i j> sorted by i ^ j (stable), every scaled
-    P_s^Gamma has entries in {-1, 0, 1} inside the four blocks and
-    exactly 0.0 outside them; block c is flattened row-major into
-    table[s, c].  Raises ConsistencyError if that structure fails.
-    """
-    i, j = np.divmod(np.arange(16), 4)
-    order = np.argsort(i ^ j, kind="stable")
-    scaled = 4 * partial_transpose(projector_stack())[:, order][:, :, order]
-    tiles = scaled.reshape(16, 4, 4, 4, 4).swapaxes(2, 3)  # [s, row block, col block]
-    blocks = tiles[:, np.arange(4), np.arange(4)]
-    if (
-        tiles[:, ~np.eye(4, dtype=bool)].any()
-        or not np.isin(blocks, (-1.0, 0.0, 1.0)).all()
-        or not np.array_equal(blocks, blocks.swapaxes(-1, -2))
-    ):
-        raise lattice.ConsistencyError(
-            "partially transposed projectors are not symmetric integer blocks"
-        )
-    table = blocks.astype(np.int64).reshape(16, 4, 16)
-    table.setflags(write=False)
-    return table
-
-
-def _pt_spectra(masks: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Ascending spectra of rho_I^Gamma, one row per mask, shape (len, 16).
-
-    4N rho_I^Gamma is the sum over s in I of the integer blocks of
-    :func:`_pt_blocks`, so it is four symmetric integer 4x4 blocks with
-    entries in [-16, 16].  Each (mask, block) pair is keyed by its 10
-    upper-triangle entries as balanced base-33 digits, which is
-    injective; eigvalsh runs once per distinct key, and the eigenvalues
-    are gathered back and divided by 4N.
-    """
-    counts = _cardinalities(masks)
-    table = _pt_blocks()
-    upper = np.ravel_multi_index(np.triu_indices(4), (4, 4))
-    weights = table[:, :, upper] @ 33 ** np.arange(10)  # (16, 4)
-    keys = np.empty((len(masks), 4), dtype=np.int64)
-    for lo in range(0, len(masks), chunk):
-        keys[lo : lo + chunk] = _bits(masks[lo : lo + chunk]) @ weights
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rows, cols = np.divmod(first, 4)
-    distinct = np.einsum("ks,skj->kj", _bits(masks[rows]), table[:, cols])
-    eigs = np.linalg.eigvalsh(distinct.reshape(-1, 4, 4).astype(float))
-    inverse = inverse.reshape(-1, 4)
-    out = np.empty((len(masks), 16))
-    for lo in range(0, len(masks), chunk):
-        hi = lo + chunk
-        spectra = out[lo:hi]
-        spectra[:] = eigs[inverse[lo:hi]].reshape(-1, 16) / (4.0 * counts[lo:hi, None])
-        spectra.sort(axis=1)
-    return out
-
-
 def _pt_signs() -> np.ndarray:
     """(16, 16) int64 table sign[s, mn]: 4 P_s^Gamma = sum_mn sign * P_mn.
 
@@ -168,8 +99,7 @@ def _pt_signs() -> np.ndarray:
 def pt_spectrum(mask: int) -> np.ndarray:
     """Numeric spectrum of the partial transpose of rho_I, ascending;
     ValueError unless 0 <= mask <= FULL_MASK."""
-    lattice.cardinality(mask)  # the range check
-    return _pt_spectra(np.array([mask]))[0]
+    return np.linalg.eigvalsh(partial_transpose(build_lattice_state(mask)))
 
 
 def analytic_pt_spectrum(mask: int) -> np.ndarray:
@@ -182,11 +112,15 @@ def analytic_pt_spectrum(mask: int) -> np.ndarray:
 
 
 def pt_min_eigenvalues_all() -> np.ndarray:
-    """Minimum PT eigenvalue, numerically, for every nonempty mask.
+    """Minimum PT eigenvalue of every nonempty mask, with no eigensolver:
+    min_mn (2 |I & P+_mn| - N) / 4N, by the identity :func:`_pt_signs` proves.
 
     Index i of the result corresponds to mask i + 1.
     """
-    return _pt_spectra(tables.masks()[1:])[:, 0]
+    # int64 first: the counts are uint8 and 2 * pos - n can be negative.
+    pos = _positive_counts()[1:].min(axis=1).astype(np.int64)
+    n = tables.cardinality()[1:].astype(np.int64)
+    return (2 * pos - n) / (4.0 * n)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,11 @@ def n6_records():
     return classifier.census(min_n=6, max_n=6)
 
 
+@pytest.fixture(scope="module")
+def full_census():
+    return classifier.census()
+
+
 def test_classify_empty_raises():
     with pytest.raises(lattice.EmptySubsetError):
         classifier.classify(0)
@@ -97,7 +102,7 @@ def test_npt_evidence():
     assert 2 * lattice.cross_count(0xF, a, b) > 4
 
 
-def test_census_invariant_over_tables():
+def test_census_invariant_over_tables(full_census):
     # The census decides one mask per orbit; the rule below decides every
     # mask from the integer tables alone, with no symmetry reduction.
     n = tables.cardinality()
@@ -106,7 +111,7 @@ def test_census_invariant_over_tables():
     assert int(witnessed.sum()) == 2688
     codes = [Label.NPT_ENTANGLED, Label.PPT_ENTANGLED, Label.SEPARABLE, Label.UNKNOWN]
     expected = np.where(~ppt, 0, np.where(witnessed, 1, 2))[1:]
-    records = classifier.census()
+    records = full_census
     summary = classifier.summary_table(records)
     for size in range(1, 17):
         counts = np.bincount(expected[n[1:] == size], minlength=4)
@@ -117,6 +122,23 @@ def test_census_invariant_over_tables():
     for r in records:
         by_canonical[r.canonical] = codes.index(r.label)
     assert np.array_equal(by_canonical[symmetry.canonical_table()][1:], expected)
+
+
+def test_lattice_rule_decides_ppt_masks_below_15(full_census):
+    # A finding of this finite search: among the PPT masks with N <= 14,
+    # the census labels a mask PPT entangled (by the k=1 witness of
+    # Phi_V) exactly when some k_mn = 1, and every other one separable by
+    # an exact LP certificate.  Each mask takes its orbit's verdict.
+    n = tables.cardinality()
+    chosen = tables.ppt() & (n <= 14)
+    has_k1 = (tables.k_table()[chosen] == 1).any(axis=1).tolist()
+    verdict = {r.canonical: (r.label, r.justification) for r in full_census}
+    verdicts = [verdict[c] for c in symmetry.canonical_table()[chosen].tolist()]
+    assert len(verdicts) == 11406 and sum(has_k1) == 2688
+    witnessed = (Label.PPT_ENTANGLED, Justification.PROP3_WITNESS)
+    certified = (Label.SEPARABLE, Justification.LP_CERTIFICATE)
+    assert [v == witnessed for v in verdicts] == has_k1
+    assert [v == certified for v in verdicts] == [not k1 for k1 in has_k1]
 
 
 def test_census_n6(n6_records):

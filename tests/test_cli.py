@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lattice16 import cli, dense, pauli, seplp, witness
@@ -129,12 +130,21 @@ def test_ptspectrum(capsys):
 
 def test_ptspectrum_prints_no_negative_zero(capsys, grids):
     # LAPACK returns some exact zeros as tiny negatives; rounded, they
-    # must print as 0.0, and the two spectra must then agree exactly.
-    for mask in [0x0003, *grids.values()]:
+    # must print as 0.0, and the two spectra must then agree exactly:
+    # on the grids, the singletons, the full mask and a seeded sample.
+    rng = np.random.default_rng(2024)
+    masks = [
+        0x0003,
+        *grids.values(),
+        *(1 << s for s in range(16)),
+        0xFFFF,
+        *(int(m) for m in rng.integers(1, 0xFFFF + 1, size=200)),
+    ]
+    for mask in masks:
         code, out, _ = run(capsys, "ptspectrum", f"0x{mask:04X}")
         assert code == 0
         payload = json.loads(out)
-        assert payload["numeric"] == payload["analytic"]
+        assert payload["numeric"] == payload["analytic"], hex(mask)
         values = payload["numeric"] + payload["analytic"]
         assert all(math.copysign(1.0, x) > 0 for x in values if x == 0)
 
@@ -272,7 +282,7 @@ def test_consistency_failure_reported_under_optimize():
 
 
 def test_verify_under_optimize():
-    # The block-split spectra in a fresh interpreter with asserts stripped.
+    # The exact sweep in a fresh interpreter with asserts stripped.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "lattice16.cli", "verify"],

@@ -111,55 +111,18 @@ def test_pt_spectrum_matches_analytic_random():
         ).max() < 1e-10
 
 
-def test_pt_spectrum_matches_plain_dense_route(grids):
-    # The plain route: one 16x16 eigvalsh of the partially transposed
-    # state, with no block split.
-    rng = np.random.default_rng(2024)
-    masks = [
-        *grids.values(),
-        *(1 << s for s in range(16)),
-        lattice.FULL_MASK,
-        *(int(m) for m in rng.integers(1, lattice.FULL_MASK + 1, size=200)),
-    ]
-    for mask in masks:
-        plain = np.linalg.eigvalsh(dense.partial_transpose(dense.build_lattice_state(mask)))
-        assert np.abs(dense.pt_spectrum(mask) - plain).max() < 1e-12, hex(mask)
-
-
-def test_pt_spectra_independent_of_chunk_and_order():
-    masks = tables.masks()[1:]
-    spectra = dense._pt_spectra(masks)
-    assert np.array_equal(dense._pt_spectra(masks, chunk=1000), spectra)
-    order = np.random.default_rng(3).permutation(len(masks))
-    assert np.array_equal(dense._pt_spectra(masks[order], chunk=777), spectra[order])
-
-
-def test_pt_blocks_are_exact_integer_blocks():
-    table = dense._pt_blocks()
-    assert table.shape == (16, 4, 16) and not table.flags.writeable
-    blocks = table.reshape(16, 4, 4, 4)
-    assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
-    # 4N rho_I^Gamma takes 625 distinct integer blocks over all masks.
-    summed = np.einsum("ms,scj->mcj", dense._bits(tables.masks()[1:]), table)
-    summed = summed.reshape(-1, 16)
-    assert len(np.unique(summed, axis=0)) == 625
-
-
-def test_pt_blocks_rejects_entry_outside_blocks(monkeypatch, capsys):
-    # |00> and |01> lie in different i ^ j classes, so entry (0, 1) is
-    # outside every block.
+def test_pt_signs_reject_entry_off_the_psi_diagonal(monkeypatch, capsys):
+    # The same bump of every P_s^Gamma at |00><01| and |01><00| leaves
+    # the diagonal of 4 Psi^dag P_s^Gamma Psi as it was (so every count
+    # stays right) but adds off-diagonal entries: the proof must fail.
     bump = np.zeros((16, 16))
     bump[0, 1] = bump[1, 0] = 0.25
     partial_transpose = dense.partial_transpose
     monkeypatch.setattr(dense, "partial_transpose", lambda m: partial_transpose(m) + bump)
-    dense._pt_blocks.cache_clear()
-    try:
-        with pytest.raises(lattice.ConsistencyError):
-            dense._pt_blocks()
-        assert cli.main(["verify"]) == 1
-        assert "consistency violation" in capsys.readouterr().err
-    finally:
-        dense._pt_blocks.cache_clear()
+    with pytest.raises(lattice.ConsistencyError):
+        dense._pt_signs()
+    assert cli.main(["verify"]) == 1
+    assert "consistency violation" in capsys.readouterr().err
 
 
 def _not_unitary(monkeypatch):
@@ -229,6 +192,18 @@ def test_pt_min_eigenvalues_all_consistency():
         assert mins[mask - 1] == pytest.approx(
             dense.pt_spectrum(mask)[0], abs=1e-10
         )
+
+
+def test_pt_min_eigenvalues_all_match_analytic_without_eigensolver(monkeypatch):
+    # Read from the proven sign identity on every mask; no LAPACK call.
+    def refuse(*args, **kwargs):
+        raise AssertionError("pt_min_eigenvalues_all called an eigensolver")
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    mins = dense.pt_min_eigenvalues_all()
+    analytic = [dense.analytic_pt_spectrum(m)[0] for m in range(1, lattice.FULL_MASK + 1)]
+    assert np.abs(mins - analytic).max() < 1e-15
 
 
 def test_oracle_sweep_small():

@@ -85,3 +85,29 @@ def test_integer_modules_do_not_import_numpy():
     # The combinatorics, the exact LP and the k=1 witness scan work in
     # integers and fractions only.
     _assert_no_import("numpy", {"lattice", "simplex", "seplp", "witness"})
+
+
+def test_only_pt_spectrum_calls_an_eigensolver():
+    # verify proves every spectrum with integer counts; LAPACK serves only
+    # the one-subset display of ptspectrum.  Any other reference to an
+    # eigensolver in src/ would be a second spectrum route.  (np.linalg.qr
+    # in random_admissible_v is not an eigensolver.)
+    eigensolvers = {"eigvalsh", "eigh", "eigvals", "eig"}
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        # ast.walk is breadth first, so inner functions overwrite outer ones.
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            name = (
+                node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, ast.alias)
+                else None
+            )
+            if name in eigensolvers:
+                found.append((path.stem, owner.get(node)))
+    assert found == [("dense", "pt_spectrum")]
