@@ -111,6 +111,27 @@ def test_pt_spectrum_matches_analytic_random():
         ).max() < 1e-10
 
 
+def test_pt_spectrum_matches_plain_dense_route(grids):
+    # The plain route, built apart from dense: rho_I summed from
+    # pauli.projector, the second factor transposed entry by entry,
+    # then one 16x16 eigvalsh.
+    rng = np.random.default_rng(2024)
+    masks = [
+        *grids.values(),
+        *(1 << s for s in range(16)),
+        lattice.FULL_MASK,
+        *(int(m) for m in rng.integers(1, lattice.FULL_MASK + 1, size=200)),
+    ]
+    for mask in masks:
+        sites = lattice.sites(mask)
+        rho = sum(pauli.projector(a, b) for a, b in sites) / len(sites)
+        gamma = np.empty_like(rho)
+        for i, j, k, l in np.ndindex(4, 4, 4, 4):
+            gamma[4 * i + j, 4 * k + l] = rho[4 * i + l, 4 * k + j]
+        plain = np.linalg.eigvalsh(gamma)
+        assert np.abs(dense.pt_spectrum(mask) - plain).max() < 1e-12, hex(mask)
+
+
 def test_pt_signs_reject_entry_off_the_psi_diagonal(monkeypatch, capsys):
     # The same bump of every P_s^Gamma at |00><01| and |01><00| leaves
     # the diagonal of 4 Psi^dag P_s^Gamma Psi as it was (so every count
