@@ -234,8 +234,7 @@ def _witness_values() -> tuple[np.ndarray, np.ndarray]:
     (mu+2, nu+2); it is computed once per slot of witness.canonical_slot.
     Each weight is -1/2, 0 or 1/2, so the sums are exact.
     """
-    a, b = np.divmod(np.arange(16), 4)
-    on_cross = (a == (a ^ 2)[:, None]) != (b == (b ^ 2)[:, None])  # [mn, s]
+    on_cross = tables.CROSS.T  # [mn, s]
     per_slot, weight = {}, np.zeros((16, 16, 16))
     for mn, c in np.argwhere(on_cross).tolist():
         mu, nu = divmod(mn, 4)
@@ -252,16 +251,9 @@ def _witness_values() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _positive_counts() -> np.ndarray:
-    """(65536, 16) uint8 table |I & P+_mn|, row m for mask m, where P+_mn
-    is the set of sites s with sign[s, mn] = +1 in :func:`_pt_signs`.
-
-    Built as the outer sum of two (256, 16) byte tables, one per byte of
-    the mask, so no whole-space product is formed.
-    """
-    plus = (_pt_signs() > 0).astype(np.uint8)
-    byte_bits = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(np.uint8)
-    lo, hi = byte_bits @ plus[:8], byte_bits @ plus[8:]
-    return (hi[:, None] + lo[None]).reshape(-1, 16)
+    """(65536, 16) uint8 table |I & P+_mn|, row m for mask m: the
+    :func:`tables.mask_sums` of the + signs of :func:`_pt_signs`."""
+    return tables.mask_sums(_pt_signs() > 0)
 
 
 def oracle_sweep() -> dict:

@@ -16,7 +16,7 @@ from itertools import permutations
 
 import numpy as np
 
-from . import lattice
+from . import lattice, tables
 
 __all__ = [
     "SymmetryElement",
@@ -134,22 +134,16 @@ def _group_byte_tables() -> tuple[np.ndarray, np.ndarray]:
     """Images of every mask byte under each element of group(), as uint16
     tables of shape (256, 1152): lo[v, i] is the image of the low byte v
     under element i and hi[v, i] that of the high byte, so element i
-    sends mask m to lo[m & 0xFF, i] | hi[m >> 8, i]."""
-    weights = (np.uint16(1) << _group_site_maps().astype(np.uint16)).T
-    lo = np.zeros((256, weights.shape[1]), dtype=np.uint16)
-    hi = np.zeros_like(lo)
-    for k in range(8):
-        # Bytes with top bit k are those below 2^k with bit k added.
-        np.bitwise_or(lo[: 1 << k], weights[k], out=lo[1 << k : 2 << k])
-        np.bitwise_or(hi[: 1 << k], weights[k + 8], out=hi[1 << k : 2 << k])
-    return lo, hi
+    sends mask m to lo[m & 0xFF, i] | hi[m >> 8, i].  Built by
+    tables.byte_sums from the bits 1 << site_map[s]; the bits of one
+    element are distinct, so each sum is an OR."""
+    return tables.byte_sums((np.uint16(1) << _group_site_maps().astype(np.uint16)).T)
 
 
 def _orbit_images(mask: int) -> np.ndarray:
     """The image of the mask under every element of group(), in order;
     ValueError unless 0 <= mask <= FULL_MASK."""
-    if not 0 <= mask <= lattice.FULL_MASK:
-        raise ValueError(f"mask {mask!r} is outside 0..0x{lattice.FULL_MASK:04X}")
+    lattice._in_range(mask)
     lo, hi = _group_byte_tables()
     return lo[mask & 0xFF] | hi[mask >> 8]
 

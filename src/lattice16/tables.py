@@ -2,6 +2,8 @@
 
 Index m of each array is the mask m, for all 2^16 masks including the
 empty one.  Each array is built once, on first use, and is read-only.
+N and k are :func:`mask_sums` of a 16-row weight table, one row per
+site; ``dense`` and ``symmetry`` build their byte tables the same way.
 The scalar functions of :mod:`lattice16.lattice` define the same
 quantities one mask at a time; they stay the public API and the
 reference these tables are tested against.
@@ -15,14 +17,38 @@ import numpy as np
 
 from . import lattice
 
-__all__ = ["masks", "cardinality", "k_table", "ppt"]
-
-_BYTE_WEIGHT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+__all__ = ["CROSS", "byte_sums", "mask_sums", "masks", "cardinality", "k_table", "ppt"]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+_A, _B = np.divmod(np.arange(16), 4)
+# CROSS[s, 4*mu + nu] = 1: site s is on the cross through (mu+2, nu+2), center excluded.
+CROSS = _frozen(((_A[:, None] == _A ^ 2) != (_B[:, None] == _B ^ 2)).astype(np.uint8))
+
+
+def byte_sums(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) for a weight table with one row per site: lo[v] sums
+    weights[k] over the bits k of the byte v, and hi[v] sums
+    weights[8 + k].  Sums keep the weights' dtype; bool counts as uint8."""
+    w = weights.astype(np.uint8) if weights.dtype == np.bool_ else weights
+    lo = np.zeros((256, *w.shape[1:]), dtype=w.dtype)
+    hi = np.zeros_like(lo)
+    for k in range(8):
+        # Bytes with top bit k are those below 2^k with bit k added.
+        np.add(lo[: 1 << k], w[k], out=lo[1 << k : 2 << k])
+        np.add(hi[: 1 << k], w[8 + k], out=hi[1 << k : 2 << k])
+    return lo, hi
+
+
+def mask_sums(weights: np.ndarray) -> np.ndarray:
+    """The sum of weights[s] over the sites s of every mask: row m for
+    mask m, the outer sum of the two byte tables of :func:`byte_sums`."""
+    lo, hi = byte_sums(weights)
+    return (hi[:, None] + lo[None]).reshape(-1, *lo.shape[1:])
 
 
 @functools.cache
@@ -34,8 +60,7 @@ def masks() -> np.ndarray:
 @functools.cache
 def cardinality() -> np.ndarray:
     """N = |I| of every mask (uint8)."""
-    m = masks()
-    return _frozen(_BYTE_WEIGHT[m & 0xFF] + _BYTE_WEIGHT[m >> 8])
+    return _frozen(mask_sums(np.ones(16, dtype=np.uint8)))
 
 
 @functools.cache
@@ -45,20 +70,7 @@ def k_table() -> np.ndarray:
     Column 4*mu + nu is k[mu][nu]: the cross count through the shifted
     site (mu+2, nu+2), as in :func:`lattice.k_matrix`.
     """
-    m = masks()
-
-    def bit(p: int) -> np.ndarray:
-        return (m >> p & 1).astype(np.uint8)
-
-    cols = [_BYTE_WEIGHT[m >> 4 * a & 0xF] for a in range(4)]
-    rows = [bit(b) + bit(4 + b) + bit(8 + b) + bit(12 + b) for b in range(4)]
-    k = np.empty((len(m), 16), dtype=np.uint8)
-    for mu in range(4):
-        for nu in range(4):
-            a, b = mu ^ 2, nu ^ 2
-            # uint8 is safe: a site in I adds 1 to both its row and its column.
-            k[:, 4 * mu + nu] = cols[a] + rows[b] - 2 * bit(4 * a + b)
-    return _frozen(k)
+    return _frozen(mask_sums(CROSS))
 
 
 @functools.cache
@@ -66,6 +78,7 @@ def ppt() -> np.ndarray:
     """The PPT flag of every mask (bool): 2 * cross_count(mask, a, b) <= N
     at every site (a, b).  False for the empty mask, which defines no
     state."""
-    flag = 2 * k_table().max(axis=1) <= cardinality()  # at most 14: no uint8 wrap
+    # A cross holds 6 sites, so 2k <= 12: no uint8 wrap.
+    flag = 2 * k_table().max(axis=1) <= cardinality()
     flag[0] = False
     return _frozen(flag)

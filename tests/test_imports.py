@@ -111,3 +111,19 @@ def test_only_pt_spectrum_calls_an_eigensolver():
             if name in eigensolvers:
                 found.append((path.stem, owner.get(node)))
     assert found == [("dense", "pt_spectrum")]
+
+
+def test_only_tables_builds_byte_tables():
+    # Every whole-space table sums a 16-row weight table over the sites of
+    # each mask, from the two 256-row tables of tables.byte_sums.  The
+    # integer 256 anywhere else in src/ would be a second byte-table
+    # builder.  (Comments and docstrings are not integers.)
+    found = {
+        path.stem
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant)
+        and type(node.value) is int
+        and node.value == 256
+    }
+    assert found == {"tables"}

@@ -37,7 +37,7 @@ def test_k_table_matches_k_matrix():
 def test_tables_are_read_only():
     for table in (tables.masks(), tables.cardinality(), tables.k_table(),
                   tables.ppt(), symmetry.canonical_table(),
-                  symmetry.orbit_size_table()):
+                  symmetry.orbit_size_table(), tables.CROSS):
         assert not table.flags.writeable
 
 
@@ -47,6 +47,43 @@ def _image(site_map: tuple[int, ...], masks: np.ndarray) -> np.ndarray:
     for pos, target in enumerate(site_map):
         out |= (masks >> pos & 1) << target
     return out
+
+
+def _bit_sums(weights: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The sum of weights[s] over the bits s of every mask, bit by bit."""
+    out = np.zeros((len(masks), *weights.shape[1:]), dtype=weights.dtype)
+    for s in range(16):
+        out += np.multiply.outer((masks >> s & 1).astype(weights.dtype), weights[s])
+    return out
+
+
+def _check_byte_and_mask_sums(weights: np.ndarray) -> np.ndarray:
+    masks = tables.masks()
+    expected = _bit_sums(weights, masks)
+    lo, hi = tables.byte_sums(weights)
+    assert lo.shape == hi.shape == (256, *weights.shape[1:])
+    assert np.array_equal(lo, expected[:256])
+    assert np.array_equal(hi, expected[::256])
+    sums = tables.mask_sums(weights)
+    assert (sums.dtype, sums.shape) == (weights.dtype, expected.shape)
+    assert np.array_equal(sums, expected)
+    return sums
+
+
+def test_byte_and_mask_sums_match_a_bit_loop():
+    rng = np.random.default_rng(16)
+    # At most 16 * 15 = 240 per entry: no uint8 wrap.
+    _check_byte_and_mask_sums(rng.integers(0, 16, (16, 5)).astype(np.uint8))
+    _check_byte_and_mask_sums(rng.integers(0, 16, 16).astype(np.uint8))
+    # One-hot site images: distinct sites set distinct bits, so the sum
+    # of a group element's images is the image itself, an OR of bits.
+    elements = symmetry.group()[::97]
+    maps = np.array([g.site_map() for g in elements], dtype=np.uint16)
+    images = _check_byte_and_mask_sums((np.uint16(1) << maps).T)
+    for g, column in zip(elements, images.T):
+        assert np.array_equal(column, _image(g.site_map(), tables.masks()))
+    # bool weights count as uint8 rather than OR-ing.
+    assert np.array_equal(tables.mask_sums(tables.CROSS.astype(bool)), tables.k_table())
 
 
 def test_canonical_table_is_the_orbit_minimum():
