@@ -35,7 +35,6 @@ class Label(str, Enum):
 
 class Justification(str, Enum):
     PROP1A_VIOLATION = "PROP1A_VIOLATION"
-    PROP1B_SITE = "PROP1B_SITE"
     PROP3_WITNESS = "PROP3_WITNESS"
     LP_CERTIFICATE = "LP_CERTIFICATE"
     MAXIMALLY_MIXED = "MAXIMALLY_MIXED"
@@ -94,9 +93,7 @@ def classify(mask: int) -> Classification:
     N=15 isotropic rule, the k=1 reduction-map witness, the exact LP
     certificate, and finally UNKNOWN.
     """
-    n = lattice.cardinality(mask)
-    if n == 0:
-        raise lattice.EmptySubsetError("no lattice state for the empty subset")
+    n = lattice.state_cardinality(mask)
     if n == 16:
         return Classification(Label.SEPARABLE, Justification.MAXIMALLY_MIXED)
     if not lattice.is_ppt(mask):

@@ -15,10 +15,12 @@ spectrum, the PPT flag and the k=1 witness value of every mask with
 integer equality.
 
 The extended reduction map Phi_V[B] = Tr(B) I_4 - B - V B^T V*, for
-any admissible V (unitary, antisymmetric), lives here too, as the
-oracle of the integer k=1 witness scan of :mod:`lattice16.witness`:
-the sweep applies it, through the dense operators, with the V that
-``witness.canonical_slot`` picks.
+any admissible V (unitary, antisymmetric), is defined once, by
+:func:`phi_v` on each 4x4 matrix of a stack; :func:`apply_id_tensor_phi`
+applies it to each 4x4 block of a bipartite operator.  It is the oracle
+of the integer k=1 witness scan of :mod:`lattice16.witness`: the sweep
+applies it with the V that ``witness.canonical_slot`` picks and reads
+it in the one psi basis Psi that also proves the sign identities.
 """
 
 from __future__ import annotations
@@ -58,9 +60,7 @@ def projector_stack() -> np.ndarray:
 
 def build_lattice_state(mask: int) -> np.ndarray:
     """rho_I: the uniform mixture of the projectors labeled by I."""
-    n = lattice.cardinality(mask)
-    if n == 0:
-        raise lattice.EmptySubsetError("no lattice state for the empty subset")
+    n = lattice.state_cardinality(mask)
     idx = [4 * a + b for a, b in lattice.sites(mask)]
     return projector_stack()[idx].sum(axis=0) / n
 
@@ -77,14 +77,19 @@ def _bits(masks: np.ndarray) -> np.ndarray:
     return masks[:, None] >> np.arange(16) & 1
 
 
+def _psi() -> np.ndarray:
+    """(16, 16) complex Psi: column 4*mu + nu is psi_mn."""
+    return np.stack([pauli.psi_pair(mu, nu) for mu, nu in pauli.ALL_SITES], axis=1)
+
+
 def _pt_signs() -> np.ndarray:
     """(16, 16) int64 table sign[s, mn]: 4 P_s^Gamma = sum_mn sign * P_mn.
 
-    Proven in exact float arithmetic (every entry is dyadic): Psi, the
-    psi_mn as columns, is unitary and each 4 Psi^dag P_s^Gamma Psi is
-    diagonal with entries +-1.  ConsistencyError otherwise.
+    Proven in exact float arithmetic (every entry is dyadic): Psi is
+    unitary and each 4 Psi^dag P_s^Gamma Psi is diagonal with entries
+    +-1.  ConsistencyError otherwise.
     """
-    psi = np.stack([pauli.psi_pair(a, b) for a, b in pauli.ALL_SITES], axis=1)
+    psi = _psi()
     d = 4 * (psi.conj().T @ partial_transpose(projector_stack()) @ psi)
     signs = np.diagonal(d, axis1=1, axis2=2)
     if not (
@@ -105,10 +110,8 @@ def pt_spectrum(mask: int) -> np.ndarray:
 def analytic_pt_spectrum(mask: int) -> np.ndarray:
     """The closed-form partial-transpose spectrum {1/4 - k_mn/(2N)},
     ascending; ValueError unless 0 <= mask <= FULL_MASK."""
-    n = lattice.cardinality(mask)
-    if n == 0:
-        raise lattice.EmptySubsetError("no lattice state for the empty subset")
-    return np.sort(0.25 - tables.k_table()[mask] / (2.0 * n))
+    n = lattice.state_cardinality(mask)
+    return np.sort(0.25 - np.ravel(lattice.k_matrix(mask)) / (2.0 * n))
 
 
 def pt_min_eigenvalues_all() -> np.ndarray:
@@ -159,25 +162,24 @@ def pauli_coefficients(m: np.ndarray) -> np.ndarray:
 
 
 def theta_v(v: VMatrix, b: np.ndarray) -> np.ndarray:
-    """The antiunitary conjugation B -> V B^T V*."""
-    return v.matrix @ b.T @ v.matrix.conj().T
+    """The antiunitary conjugation B -> V B^T V* of each 4x4 matrix in a stack."""
+    return v.matrix @ b.swapaxes(-1, -2) @ v.matrix.conj().T
 
 
 def phi_v(v: VMatrix, b: np.ndarray) -> np.ndarray:
-    """Tr(B) I - B - theta_V[B]; positive on positive inputs."""
-    return np.trace(b) * np.eye(4) - b - theta_v(v, b)
+    """Tr(B) I - B - theta_V[B] of each 4x4 B in a stack; positive on positive B."""
+    trace = np.trace(b, axis1=-2, axis2=-1)[..., None, None]
+    return trace * np.eye(4) - b - theta_v(v, b)
 
 
 def apply_id_tensor_phi(v: VMatrix, rho: np.ndarray) -> np.ndarray:
     """Apply Phi_V to the second factor of a 16x16 bipartite operator, or
-    of each one in a stack of shape (..., 16, 16)."""
+    of each one in a stack of shape (..., 16, 16): :func:`phi_v` on each
+    4x4 block."""
     lead = rho.shape[:-2]
-    blocks = rho.reshape(*lead, 4, 4, 4, 4)  # (i, a, j, b): block (i,j), entry (a,b)
-    traces = np.einsum("...iaja->...ij", blocks)
-    vm = v.matrix
-    theta = np.einsum("ca,...ibja,db->...icjd", vm, blocks, vm.conj())
-    out = np.einsum("...ij,ab->...iajb", traces, np.eye(4)) - blocks - theta
-    return out.reshape(*lead, 16, 16)
+    # (i, a, j, b) -> (i, j, a, b): entry (a, b) of block (i, j).
+    blocks = rho.reshape(*lead, 4, 4, 4, 4).swapaxes(-3, -2)
+    return phi_v(v, blocks).swapaxes(-3, -2).reshape(*lead, 16, 16)
 
 
 def phi_v_tilde_diagonal(mask: int, mu: int, nu: int, v: VMatrix) -> float:
@@ -186,10 +188,8 @@ def phi_v_tilde_diagonal(mask: int, mu: int, nu: int, v: VMatrix) -> float:
     Equals k_mn/(2N) - (1/N) sum over (a,b) in I of |v_{mu^a, nu^b}|^2,
     where mu ^ a is the index map i_mu(a).
     """
+    n = lattice.state_cardinality(mask)
     points = lattice.sites(mask)
-    if not points:
-        raise lattice.EmptySubsetError("no lattice state for the empty subset")
-    n = len(points)
     absorbed = sum(abs(v.coefficients[mu ^ a, nu ^ b]) ** 2 for a, b in points)
     return lattice.k_matrix(mask)[mu][nu] / (2.0 * n) - absorbed / n
 
@@ -215,13 +215,11 @@ def _slot_v(x: int, y: int) -> VMatrix:
 
 
 def _tilde_diagonal(rho: np.ndarray, v: VMatrix) -> np.ndarray:
-    """<psi_mn| (I x V^dag) (id x Phi_V)[rho] (I x V) |psi_mn> for every
-    (mu, nu), by the dense operator route: a real (..., 4, 4) array for a
-    stack of shape (..., 16, 16)."""
-    iv = np.kron(np.eye(4), v.matrix)
-    tilde = iv.conj().T @ apply_id_tensor_phi(v, rho) @ iv
-    psi = np.stack([pauli.psi_pair(mu, nu) for mu, nu in pauli.ALL_SITES])
-    diag = np.einsum("ki,...ij,kj->...k", psi.conj(), tilde, psi).real
+    """The diagonal of W^dag (id x Phi_V)[rho] W, W = (I x V) Psi: entry (mu, nu)
+    is <psi_mn| (I x V^dag) (id x Phi_V)[rho] (I x V) |psi_mn>, real, of shape
+    (..., 4, 4) for a stack of shape (..., 16, 16)."""
+    w = np.kron(np.eye(4), v.matrix) @ _psi()
+    diag = (w.conj() * (apply_id_tensor_phi(v, rho) @ w)).sum(axis=-2).real
     return diag.reshape(*rho.shape[:-2], 4, 4)
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "site_bit",
     "sites",
     "cardinality",
+    "state_cardinality",
     "column_counts",
     "row_counts",
     "cross_count",
@@ -64,6 +65,7 @@ def site_bit(alpha: int, beta: int) -> int:
 
 def sites(mask: int) -> list[tuple[int, int]]:
     """Sites of the subset, ordered by bit position."""
+    _in_range(mask)
     return [(a, b) for a in range(4) for b in range(4) if mask >> (4 * a + b) & 1]
 
 
@@ -79,17 +81,29 @@ def cardinality(mask: int) -> int:
     return _in_range(mask).bit_count()
 
 
+def state_cardinality(mask: int) -> int:
+    """N = |I| of a subset that defines a state: ValueError unless
+    0 <= mask <= FULL_MASK, EmptySubsetError for the empty subset."""
+    n = cardinality(mask)
+    if n == 0:
+        raise EmptySubsetError("no lattice state for the empty subset")
+    return n
+
+
 def column_counts(mask: int) -> list[int]:
+    _in_range(mask)
     return [(mask >> 4 * a & 0xF).bit_count() for a in range(4)]
 
 
 def row_counts(mask: int) -> list[int]:
+    _in_range(mask)
     return [(mask & _ROW << b).bit_count() for b in range(4)]
 
 
 def cross_count(mask: int, alpha: int, beta: int) -> int:
     """Points of I on the column/row cross through (alpha, beta),
     excluding (alpha, beta) itself."""
+    _in_range(mask)
     col = (mask >> 4 * alpha & 0xF).bit_count()
     row = (mask & _ROW << beta).bit_count()
     return col + row - 2 * (mask >> (4 * alpha + beta) & 1)
@@ -116,9 +130,7 @@ def kappa(mask: int) -> int:
 
 def is_ppt(mask: int) -> bool:
     """PPT iff every cross count is at most N/2 (exact integer test)."""
-    n = cardinality(mask)
-    if n == 0:
-        raise EmptySubsetError("no lattice state for the empty subset")
+    n = state_cardinality(mask)
     return 2 * max(_cross_counts(mask)) <= n
 
 

@@ -112,6 +112,8 @@ def group() -> list[SymmetryElement]:
 
 
 def act(g: SymmetryElement, mask: int) -> int:
+    """The image of the mask under g; ValueError unless 0 <= mask <= FULL_MASK."""
+    lattice._in_range(mask)
     out = 0
     table = g.site_map()
     for pos in range(16):

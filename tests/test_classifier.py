@@ -208,14 +208,23 @@ def test_masks_outside_16_bits_are_rejected():
     # Bits above 15 and negative masks name no subset: every entry point
     # refuses them rather than truncating to 16 bits (0x1EEE0 is PPT
     # after truncation, -1 the full mask and 0x10000 the empty one).
-    for mask in (0x1EEE0, -1, 0x10000):
+    g = symmetry.generators()[0]
+    for mask in (0x1EEE0, -1, 0x10000, 0x10001):
         for check in (
             lattice.cardinality,
+            lattice.state_cardinality,
+            lattice.sites,
+            lattice.column_counts,
+            lattice.row_counts,
+            lambda m: lattice.cross_count(m, 1, 2),
+            lattice.k_matrix,
+            lattice.kappa,
             lattice.is_ppt,
             classifier.classify,
             witness.witness_scan,
             seplp.decompose,
             symmetry.canonical_form,
+            lambda m: symmetry.act(g, m),
         ):
             with pytest.raises(ValueError, match="outside 0..0xFFFF"):
                 check(mask)

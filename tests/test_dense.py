@@ -254,6 +254,16 @@ def test_oracle_sweep_reports_wrong_witness(monkeypatch):
     assert raised == flagged
 
 
+def test_oracle_sweep_applies_phi_v(monkeypatch):
+    # The sweep's dense witness values come from phi_v itself: without
+    # its Tr(B) I term no witness value is -1/2 any more.
+    theta_v = dense.theta_v
+    monkeypatch.setattr(dense, "phi_v", lambda v, b: -b - theta_v(v, b))
+    report = dense.oracle_sweep()
+    flagged = [mask for kind, mask in report["disagreements"] if kind == "witness"]
+    assert len(flagged) == len(report["disagreements"]) == 2688
+
+
 def test_oracle_sweep_reports_broken_tables(monkeypatch):
     ppt = tables.ppt().copy()
     ppt[0x1357] = not ppt[0x1357]
@@ -316,7 +326,18 @@ def test_oracle_sweep_needs_no_eigensolver(monkeypatch):
         dense.pt_spectrum(0x1357)
 
 
-@pytest.mark.parametrize("spectrum", [dense.pt_spectrum, dense.analytic_pt_spectrum])
+def _tilde_diagonal_13(mask):
+    return dense.phi_v_tilde_diagonal(mask, 1, 3, dense.VMatrix(pauli.sigma_pair(2, 0)))
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [
+        dense.pt_spectrum,
+        dense.analytic_pt_spectrum,
+        pytest.param(_tilde_diagonal_13, id="phi_v_tilde_diagonal"),
+    ],
+)
 def test_spectra_reject_masks_out_of_range(spectrum):
     # Masking with FULL_MASK would name another subset: 0x10001 as 0x0001.
     for mask in (-1, lattice.FULL_MASK + 1, 0x10001):
@@ -373,6 +394,17 @@ def test_theta_and_phi_definitions():
     out = dense.phi_v(v, b)
     expected = np.trace(b) * np.eye(4) - b - dense.theta_v(v, b)
     assert np.abs(out - expected).max() < 1e-12
+
+
+def test_theta_and_phi_act_on_stacks():
+    # Each 4x4 matrix of a stack maps as it does on its own.
+    v = dense.random_admissible_v(RNG)
+    stack = RNG.normal(size=(3, 5, 4, 4)) + 1j * RNG.normal(size=(3, 5, 4, 4))
+    thetas, phis = dense.theta_v(v, stack), dense.phi_v(v, stack)
+    assert thetas.shape == phis.shape == stack.shape
+    for i, j in np.ndindex(3, 5):
+        assert np.abs(thetas[i, j] - dense.theta_v(v, stack[i, j])).max() < 1e-12
+        assert np.abs(phis[i, j] - dense.phi_v(v, stack[i, j])).max() < 1e-12
 
 
 def test_phi_positive_on_psd():

@@ -57,6 +57,27 @@ def test_cold_lp_classify_builds_no_whole_space_table():
     assert proc.stdout == "0 0 0\n"
 
 
+def test_ptspectrum_builds_no_whole_space_table():
+    # The closed-form spectrum of one mask reads lattice.k_matrix, not a
+    # row of the 65,536-row k table.
+    script = (
+        "import contextlib, io\n"
+        "from lattice16 import cli, tables\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    assert cli.main(['ptspectrum', '0x0EEE']) == 0\n"
+        "assert '\"analytic\"' in out.getvalue()\n"
+        "print(tables.k_table.cache_info().currsize,"
+        " tables.cardinality.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0\n"
+
+
 def _assert_no_import(package, modules=None):
     """No module of src/lattice16 (or only the named ones) imports
     ``package`` or a submodule of it."""

@@ -61,8 +61,10 @@ def test_k_matrix_entry_sum():
 
 
 def test_is_ppt_empty_raises():
-    with pytest.raises(lattice.EmptySubsetError):
-        lattice.is_ppt(0)
+    assert lattice.state_cardinality(0x8421) == 4
+    for check in (lattice.state_cardinality, lattice.is_ppt):
+        with pytest.raises(lattice.EmptySubsetError, match="no lattice state"):
+            check(0)
 
 
 def test_is_ppt_examples(grids):
