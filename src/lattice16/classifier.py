@@ -184,15 +184,12 @@ def summary_to_csv(records: list[CensusRecord]) -> str:
 
 def explain(mask: int) -> str:
     """Human-readable report: grid, k-matrix, kappa, decision trace."""
-    n = lattice.cardinality(mask)
+    n = lattice.state_cardinality(mask)
     lines = [
         f"subset {lattice.render_subset(mask, 'hex')}  N={n}",
         lattice.render_subset(mask, "table"),
         "",
     ]
-    if n == 0:
-        lines.append("empty subset: no lattice state defined")
-        return "\n".join(lines)
     k = lattice.k_matrix(mask)
     lines.append("k-matrix (rows mu=0..3, columns nu=0..3):")
     for mu in range(4):

@@ -20,6 +20,7 @@ __all__ = [
     "EmptySubsetError",
     "SubsetParseError",
     "ConsistencyError",
+    "site_index",
     "site_bit",
     "sites",
     "cardinality",
@@ -59,8 +60,16 @@ _PAIR = re.compile(r"\s*([0-3])\s*,\s*([0-3])\s*")
 _ROW = 0x1111
 
 
+def site_index(alpha: int, beta: int) -> int:
+    """The bit position 4*alpha + beta of site (alpha, beta); ValueError
+    unless both coordinates are in 0..3."""
+    if not (0 <= alpha <= 3 and 0 <= beta <= 3):
+        raise ValueError(f"site {(alpha, beta)!r} is outside 0..3 x 0..3")
+    return 4 * alpha + beta
+
+
 def site_bit(alpha: int, beta: int) -> int:
-    return 1 << (4 * alpha + beta)
+    return 1 << site_index(alpha, beta)
 
 
 def sites(mask: int) -> list[tuple[int, int]]:
@@ -104,9 +113,10 @@ def cross_count(mask: int, alpha: int, beta: int) -> int:
     """Points of I on the column/row cross through (alpha, beta),
     excluding (alpha, beta) itself."""
     _in_range(mask)
+    pos = site_index(alpha, beta)
     col = (mask >> 4 * alpha & 0xF).bit_count()
     row = (mask & _ROW << beta).bit_count()
-    return col + row - 2 * (mask >> (4 * alpha + beta) & 1)
+    return col + row - 2 * (mask >> pos & 1)
 
 
 def _cross_counts(mask: int) -> list[int]:

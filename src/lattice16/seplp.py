@@ -10,8 +10,11 @@ every transversal as an image of Smolin's state, and
 ``tests/test_seplp.py::test_basis_members_are_separable`` checks each
 mixture with exact equality.  The P_s are orthonormal, so the exact
 per-site identities of :func:`verify_certificate` prove that a
-certificate reproduces its state.  Infeasibility of that linear program
-is a statement about this basis only, never a proof of entanglement.
+certificate reproduces its state.  The linear program is posed on
+integers: with A the 0/1 matrix of which target site each candidate
+member holds, it solves A y = 1, y >= 0, and the weights are 4/N · y.
+Infeasibility of that linear program is a statement about this basis
+only, never a proof of entanglement.
 """
 
 from __future__ import annotations
@@ -74,7 +77,10 @@ class DecompositionCertificate:
     def from_json(cls, payload: dict) -> DecompositionCertificate:
         """The inverse of :meth:`to_json`.  The result is not verified;
         pass it to :func:`verify_certificate`."""
-        weights = {int(m, 16): Fraction(w) for m, w in payload["weights"]}
+        try:
+            weights = {int(m, 16): Fraction(w) for m, w in payload["weights"]}
+        except ZeroDivisionError as exc:
+            raise ValueError("a weight has a zero denominator") from exc
         if len(weights) != len(payload["weights"]):
             raise ValueError("a basis member is listed twice")
         return cls(target=int(payload["target"], 16), weights=weights)
@@ -90,12 +96,15 @@ def _decompose_direct(mask: int) -> DecompositionCertificate | None:
         return None
     target_sites = lattice.sites(mask)
     rows = [[j >> (4 * a + b) & 1 for j in candidates] for a, b in target_sites]
-    rhs = [Fraction(4, n)] * len(target_sites)
-    solution = feasible_nonneg_solution(rows, rhs)
+    # Pose A y = 1 on integers; the weights are w = 4/N · y.  Scaling
+    # the b column by a positive constant leaves every reduced cost and
+    # every ratio comparison as it was, so Bland's rule takes the same
+    # pivots as on A w = 4/N.
+    solution = feasible_nonneg_solution(rows, [1] * len(target_sites))
     if solution is None:
         return None
     weights = {
-        j: w for j, w in zip(candidates, solution) if w != 0
+        j: Fraction(4, n) * y for j, y in zip(candidates, solution) if y != 0
     }
     return DecompositionCertificate(target=mask, weights=weights)
 

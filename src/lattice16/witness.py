@@ -55,8 +55,10 @@ def canonical_slot(
     ``center`` is the cross center (mu+2, nu+2) and ``contributing`` the
     one point of I on the cross (center excluded).  The row case picks
     (i_mu(alpha), 2), the column case (2, i_nu(beta)), with i_mu(alpha)
-    = mu ^ alpha.
+    = mu ^ alpha.  ValueError unless both are sites of the lattice.
     """
+    lattice.site_index(*center)
+    lattice.site_index(*contributing)
     a2, b2 = center
     alpha, beta = contributing
     if contributing == center:

@@ -192,7 +192,8 @@ def test_explain_outputs(grids):
     text = classifier.explain(grids["rho6"])
     assert "SEPARABLE" in text
     assert "certificate" in text
-    assert "empty subset" in classifier.explain(0)
+    with pytest.raises(lattice.EmptySubsetError):
+        classifier.explain(0)
 
 
 # The census output is fixed: the benchmark pins the same digest.
@@ -228,3 +229,13 @@ def test_masks_outside_16_bits_are_rejected():
         ):
             with pytest.raises(ValueError, match="outside 0..0xFFFF"):
                 check(mask)
+    # Likewise coordinates outside 0..3 name no site: site_bit(4, 0) would
+    # be bit 16 and cross_count(m, -1, 0) a negative shift.
+    for site in ((4, 0), (0, 4), (-1, 0), (0, -1)):
+        for check in (
+            lattice.site_index,
+            lattice.site_bit,
+            lambda a, b: lattice.cross_count(lattice.FULL_MASK, a, b),
+        ):
+            with pytest.raises(ValueError, match="outside 0..3"):
+                check(*site)

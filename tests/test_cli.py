@@ -54,9 +54,10 @@ def test_classify_parse_error(capsys):
 
 
 def test_empty_subset_is_usage_error(capsys):
-    code, _, err = run(capsys, "classify", "0x0000")
-    assert code == 2
-    assert "empty" in err
+    for argv in (["classify", "0x0000"], ["--format", "ascii", "classify", "0x0000"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "empty" in err, argv
 
 
 def test_tolerance_flag_is_gone(capsys):

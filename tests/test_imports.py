@@ -148,3 +148,18 @@ def test_only_tables_builds_byte_tables():
         and node.value == 256
     }
     assert found == {"tables"}
+
+
+def test_simplex_takes_integers_without_rescaling():
+    # The exact LP is posed on integers (seplp solves A y = 1), so the
+    # simplex keeps no lcm of denominators and reads no .denominator.
+    tree = ast.parse((ROOT / "src" / "lattice16" / "simplex.py").read_text())
+    names = {
+        node.attr if isinstance(node, ast.Attribute)
+        else node.id if isinstance(node, ast.Name)
+        else node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name, ast.alias, ast.FunctionDef))
+    }
+    assert "feasible_nonneg_solution" in names
+    assert not [n for n in names if "lcm" in n.lower() or "denominator" in n.lower()]

@@ -15,6 +15,7 @@ def test_site_bit_layout():
     assert lattice.site_bit(0, 0) == 1
     assert lattice.site_bit(0, 3) == 8
     assert lattice.site_bit(3, 3) == 1 << 15
+    assert lattice.site_index(3, 2) == 14
 
 
 def test_sites_and_cardinality():

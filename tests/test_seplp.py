@@ -229,3 +229,9 @@ def test_from_json_rejects_a_repeated_member():
     payload = {"target": "0x0033", "weights": [["0x0033", "1/2"], ["0x0033", "1/2"]]}
     with pytest.raises(ValueError):
         seplp.DecompositionCertificate.from_json(payload)
+
+
+def test_from_json_rejects_a_zero_denominator():
+    payload = {"target": "0x0033", "weights": [["0x0033", "1/0"]]}
+    with pytest.raises(ValueError, match="zero denominator"):
+        seplp.DecompositionCertificate.from_json(payload)

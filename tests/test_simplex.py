@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -25,68 +26,96 @@ def _check(a_rows, b):
     return x
 
 
+def _cleared(a_rows, b):
+    """The rational system A x = b with each row (and its b entry)
+    multiplied by the lcm of its denominators: the same solutions, on
+    integers."""
+    rows, rhs = [], []
+    for row, bi in zip(a_rows, b):
+        scale = math.lcm(*(F(v).denominator for v in [*row, bi]))
+        rows.append([int(v * scale) for v in row])
+        rhs.append(int(bi * scale))
+    return rows, rhs
+
+
 def test_empty_system():
     assert feasible_nonneg_solution([], []) == []
 
 
 def test_simple_feasible():
-    x = _check([[F(1), F(1)]], [F(1)])
+    x = _check([[1, 1]], [1])
     assert x is not None
-    x = _check([[F(1), F(0)], [F(0), F(1)]], [F(2), F(3)])
+    x = _check([[1, 0], [0, 1]], [2, 3])
     assert x == [F(2), F(3)]
 
 
 def test_negative_rhs_handled():
-    x = _check([[F(-1), F(0)]], [F(-5)])
+    x = _check([[-1, 0]], [-5])
     assert x == [F(5), F(0)]
 
 
 def test_infeasible_sign():
-    assert feasible_nonneg_solution([[F(1), F(1)]], [F(-1)]) is None
+    assert feasible_nonneg_solution([[1, 1]], [-1]) is None
 
 
 def test_infeasible_inconsistent():
-    a = [[F(1), F(1)], [F(1), F(1)]]
-    assert feasible_nonneg_solution(a, [F(1), F(2)]) is None
+    a = [[1, 1], [1, 1]]
+    assert feasible_nonneg_solution(a, [1, 2]) is None
 
 
 def test_redundant_rows_ok():
-    a = [[F(1), F(2)], [F(2), F(4)]]
-    assert _check(a, [F(3), F(6)]) is not None
+    a = [[1, 2], [2, 4]]
+    assert _check(a, [3, 6]) is not None
+
+
+def test_non_integer_entries_rejected():
+    # The Bareiss // would floor a Fraction: only ints are accepted.
+    for a, b in (
+        ([[F(1, 2)]], [1]),
+        ([[1]], [F(1, 2)]),
+        ([[F(1)]], [1]),
+        ([[1.0]], [1]),
+    ):
+        with pytest.raises(TypeError):
+            feasible_nonneg_solution(a, b)
 
 
 def test_degenerate_cycling_guard():
-    # A classic degenerate instance; Bland's rule must terminate.
+    # A classic degenerate instance (rows cleared of denominators);
+    # Bland's rule must terminate.
     a = [
-        [F(1, 4), F(-8), F(-1), F(9), F(1), F(0), F(0)],
-        [F(1, 2), F(-12), F(-1, 2), F(3), F(0), F(1), F(0)],
-        [F(0), F(0), F(1), F(0), F(0), F(0), F(1)],
+        [1, -32, -4, 36, 4, 0, 0],
+        [1, -24, -1, 6, 0, 2, 0],
+        [0, 0, 1, 0, 0, 0, 1],
     ]
-    b = [F(0), F(0), F(1)]
+    b = [0, 0, 1]
     assert _check(a, b) is not None
 
 
 def test_random_feasible_instances():
-    # Plant a nonnegative solution; the solver must find some solution.
+    # Plant a nonnegative rational solution; the solver must find some
+    # solution of the integer system.
     for _ in range(30):
         m, n = random.randint(1, 4), random.randint(2, 7)
-        a = [[F(random.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
+        a = [[random.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         planted = [F(random.randint(0, 4), random.randint(1, 3)) for _ in range(n)]
         b = [sum(c * v for c, v in zip(row, planted)) for row in a]
+        a, b = _cleared(a, b)
         assert _check(a, b) is not None
 
 
 def test_random_infeasible_instances():
     # x1 + ... + xn = 1 together with x1 + ... + xn = 2.
     for n in range(2, 6):
-        a = [[F(1)] * n, [F(1)] * n]
-        assert feasible_nonneg_solution(a, [F(1), F(2)]) is None
+        a = [[1] * n, [1] * n]
+        assert feasible_nonneg_solution(a, [1, 2]) is None
 
 
 def test_exactness_no_rounding():
-    # Certify an exact rational solution of a badly conditioned system.
-    a = [[F(1, 10**9), F(1)], [F(1), F(0)]]
-    b = [F(1), F(10**9)]
+    # Certify an exact solution of a badly conditioned system (the first
+    # row is x1/10^9 + x2 = 1, cleared of its denominator).
+    a = [[1, 10**9], [1, 0]]
+    b = [10**9, 10**9]
     x = _check(a, b)
     assert x == [F(10**9), F(0)]
 
@@ -144,9 +173,10 @@ def test_census_lps_match_fraction_simplex(census_lps, monkeypatch):
 
 
 def test_census_tableau_entries_stay_small(census_lps, monkeypatch):
-    # Scaling b on its own keeps every tableau and cost-row entry of the
-    # census LPs within 9 bits (|v| < 512).  One lcm L on every row
-    # would compound to L^(k+1) after k pivots: 59 bits on these LPs.
+    # Posed on integers (A y = 1), every tableau and cost-row entry of
+    # the census LPs stays within 9 bits (|v| < 512).  One lcm L on
+    # every row of A w = 4/N would compound to L^(k+1) after k pivots:
+    # 59 bits on these LPs.
     widest = 0
     real = simplex._pivot
 
@@ -173,6 +203,7 @@ def test_census_infeasible_lps_have_farkas_vectors(census_lps):
 
 
 def _rational_system(draw):
+    """A rational system cleared to integers row by row."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 6))
     entry = st.builds(F, st.integers(-4, 4), st.integers(1, 6))
@@ -184,7 +215,7 @@ def _rational_system(draw):
     else:
         b = [draw(st.builds(F, st.integers(-5, 5), st.integers(1, 5)))
              for _ in range(m)]
-    return a, b
+    return _cleared(a, b)
 
 
 @settings(max_examples=400, deadline=None)
@@ -203,23 +234,22 @@ def test_random_systems_match_fraction_simplex(data):
 
 
 def _integer_system(draw):
-    """seplp's shape: small integer A, b over one common denominator."""
+    """Small integer A and b, near seplp's 0/1 rows."""
     m = draw(st.integers(1, 5))
     n = draw(st.integers(1, 8))
     a = [[draw(st.integers(-1, 2)) for _ in range(n)] for _ in range(m)]
-    den = draw(st.integers(1, 13))
-    b = [F(draw(st.integers(-6, 6)), den) for _ in range(m)]
+    b = [draw(st.integers(-6, 6)) for _ in range(m)]
     return a, b
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_scaling_b_keeps_the_pivot_path(data):
-    # The lemma the separate b scale rests on: b -> c·b with c > 0
-    # leaves every reduced cost and every ratio comparison as it was.
+    # The lemma seplp's A y = 1 rests on: b -> c·b with c > 0 leaves
+    # every reduced cost and every ratio comparison as it was.
     system = data.draw(st.sampled_from([_rational_system, _integer_system]))
     a_rows, b = system(data.draw)
-    c = data.draw(st.builds(F, st.integers(1, 30), st.integers(1, 30)))
+    c = data.draw(st.integers(1, 30))
     cb = [c * v for v in b]
     with pytest.MonkeyPatch.context() as mp:
         x, pivots = _integer_run(mp, a_rows, b)
@@ -228,7 +258,7 @@ def test_scaling_b_keeps_the_pivot_path(data):
     if x is None:
         assert cx is None
         _, y = simplex._phase1(a_rows, cb)
-        assert y == simplex._phase1(a_rows, b)[1]  # -L_A·D·pi: no b in it
+        assert y == simplex._phase1(a_rows, b)[1]  # -D·pi: no b in it
         assert simplex.is_farkas_certificate(a_rows, b, y)
     else:
         assert cx == [c * v for v in x]
@@ -250,7 +280,7 @@ def test_tampered_farkas_vector_rejected(census_lps):
 
 
 def test_infeasible_without_farkas_vector_raises(monkeypatch):
-    a, b = [[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)]
+    a, b = [[1, 1], [1, 1]], [1, 2]
     assert feasible_nonneg_solution(a, b) is None
     monkeypatch.setattr(simplex, "_phase1", lambda a_rows, rhs: (None, [1, 1]))
     with pytest.raises(ConsistencyError):

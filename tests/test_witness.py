@@ -29,6 +29,10 @@ def test_canonical_v_errors():
         witness.canonical_slot((1, 1), (1, 1))
     with pytest.raises(ValueError):
         witness.canonical_slot((0, 0), (1, 1))
+    # Off the lattice: (5, 0) on the row of (1, 0) would give slot (6, 2).
+    for contributing, center in (((5, 0), (1, 0)), ((1, 0), (1, 4)), ((-1, 2), (0, 2))):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            witness.canonical_slot(contributing, center)
 
 
 def test_canonical_slot_rule():
