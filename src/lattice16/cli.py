@@ -129,73 +129,98 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _global_flags(suppress: bool) -> argparse.ArgumentParser:
-    """The flags every command accepts, before or after its name.
+def _subset(p: argparse.ArgumentParser) -> None:
+    p.add_argument("subset")
 
-    The copy given to the subcommands has no defaults of its own
-    (``suppress``), so a flag set before the subcommand is not reset.
-    """
 
-    def default(value):
-        return argparse.SUPPRESS if suppress else value
+def _census_range(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--min", type=int, default=1)
+    p.add_argument("--max", type=int, default=16)
 
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument(
-        "--seed", type=int, default=default(0),
+
+def _render_form(p: argparse.ArgumentParser) -> None:
+    _subset(p)
+    p.add_argument("--form", choices=["grid", "pairs", "hex", "table"], default="table")
+
+
+# name: (handler, help, adds the command's own arguments)
+COMMANDS = {
+    "classify": (cmd_classify, "classify one subset", _subset),
+    "census": (cmd_census, "classify every symmetry orbit", _census_range),
+    "orbit": (cmd_orbit, "canonical form and orbit size", _subset),
+    "witness": (cmd_witness, "k=1 witness scan", _subset),
+    "decompose": (cmd_decompose, "exact separability certificate", _subset),
+    "ptspectrum": (cmd_ptspectrum, "partial-transpose spectrum", _subset),
+    "render": (cmd_render, "render a subset", _render_form),
+    "verify": (cmd_verify, "exact combinatorial-vs-dense sweep", lambda p: None),
+}
+# Their output is JSON only, so --format ascii would change nothing.
+JSON_ONLY = {"census", "orbit", "witness", "decompose", "ptspectrum"}
+
+
+# The flags every command accepts, before or after its name.
+GLOBAL_FLAGS = {
+    "--seed": dict(
+        type=int, default=0,
         help="no effect; accepted so that older command lines still run",
-    )
-    flags.add_argument("--out", default=default(None))
-    flags.add_argument("--format", choices=["json", "ascii"], default=default("json"))
+    ),
+    "--out": dict(default=None),
+    "--format": dict(choices=["json", "ascii"], default="json"),
+}
+
+
+def _global_flags(suppress: bool) -> argparse.ArgumentParser:
+    """A parent parser holding the global flags.  The copy given to the
+    subcommands has no defaults of its own (``suppress``), so a flag set
+    before the subcommand is not reset."""
+    flags = argparse.ArgumentParser(add_help=False)
+    for flag, spec in GLOBAL_FLAGS.items():
+        if suppress:
+            spec = dict(spec, default=argparse.SUPPRESS)
+        flags.add_argument(flag, **spec)
     return flags
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _command_named(argv: list[str]) -> str | None:
+    """The subcommand ``argv`` names, or None if the first token left
+    after the global flags (read as the full parser reads them,
+    abbreviations included) is not one."""
+    scan = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    for flag in GLOBAL_FLAGS:
+        scan.add_argument(flag)  # no type or choices: only the token count matters
+    try:
+        _, rest = scan.parse_known_args(argv)
+    except argparse.ArgumentError:  # a flag without its value
+        return None
+    return rest[0] if rest and rest[0] in COMMANDS else None
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given the command line, it holds only
+    the subparser of the command named there (all eight cost 3–4 ms to
+    build); otherwise, as for ``lattice16 -h``, all of them."""
     parser = argparse.ArgumentParser(
         prog="lattice16",
         description="Classify 16x16 two-ququart lattice states.",
         parents=[_global_flags(suppress=False)],
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    flags = [_global_flags(suppress=True)]
-
-    p = sub.add_parser("classify", parents=flags, help="classify one subset")
-    p.add_argument("subset")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("census", parents=flags, help="classify every symmetry orbit")
-    p.add_argument("--min", type=int, default=1)
-    p.add_argument("--max", type=int, default=16)
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("orbit", parents=flags, help="canonical form and orbit size")
-    p.add_argument("subset")
-    p.set_defaults(func=cmd_orbit)
-
-    p = sub.add_parser("witness", parents=flags, help="k=1 witness scan")
-    p.add_argument("subset")
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("decompose", parents=flags, help="exact separability certificate")
-    p.add_argument("subset")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("ptspectrum", parents=flags, help="partial-transpose spectrum")
-    p.add_argument("subset")
-    p.set_defaults(func=cmd_ptspectrum)
-
-    p = sub.add_parser("render", parents=flags, help="render a subset")
-    p.add_argument("subset")
-    p.add_argument("--form", choices=["grid", "pairs", "hex", "table"], default="table")
-    p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("verify", parents=flags, help="exact combinatorial-vs-dense sweep")
-    p.set_defaults(func=cmd_verify)
-
+    command = None if argv is None else _command_named(argv)
+    sub_flags = [_global_flags(suppress=True)]
+    for name, (func, help_text, add_arguments) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, parents=sub_flags, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
+    if args.format == "ascii" and args.command in JSON_ONLY:
+        print(f"error: {args.command} has no ascii form (--format json)", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except lattice.EmptySubsetError as exc:

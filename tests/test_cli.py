@@ -232,6 +232,91 @@ def test_flag_before_subcommand_is_kept(capsys, tmp_path):
     assert out_path.exists()
 
 
+# One quick command line per subcommand.
+COMMAND_LINES = {
+    "classify": ["classify", RHO6],
+    "census": ["census", "--min", "15", "--max", "16"],
+    "orbit": ["orbit", RHO6],
+    "witness": ["witness", EX2R],
+    "decompose": ["decompose", RHO6],
+    "ptspectrum": ["ptspectrum", "0xFFFF"],
+    "render": ["render", RHO6, "--form", "hex"],
+    "verify": ["verify"],
+}
+
+
+def test_command_lines_cover_every_subcommand():
+    assert set(COMMAND_LINES) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("name", COMMAND_LINES)
+def test_global_flags_before_and_after_each_subcommand(capsys, tmp_path, name):
+    argv = COMMAND_LINES[name]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and plain
+    flags = ["--seed", "5", "--format", "json"]
+    assert run(capsys, *flags, *argv) == (0, plain, "")
+    assert run(capsys, *argv, *flags) == (0, plain, "")
+    if name == "verify":  # its report always goes to stdout
+        return
+    for where, out_path in (("before", tmp_path / "a.out"), ("after", tmp_path / "b.out")):
+        out_flag = ["--out", str(out_path)]
+        line = [*out_flag, *argv] if where == "before" else [*argv, *out_flag]
+        code, printed, _ = run(capsys, *line)
+        assert code == 0, where
+        assert out_path.read_text() == plain, where
+        assert printed == "" or name == "census", where  # census names its files
+
+
+@pytest.mark.parametrize("name", ["census", "orbit", "witness", "decompose", "ptspectrum"])
+def test_ascii_format_rejected_where_output_is_json(capsys, tmp_path, name):
+    # These print JSON only: --format ascii would change nothing.
+    argv = COMMAND_LINES[name]
+    out_path = tmp_path / "out"
+    for line in (
+        ["--format", "ascii", *argv],
+        [*argv, "--format", "ascii"],
+        ["--out", str(out_path), "--format", "ascii", *argv],
+    ):
+        code, out, err = run(capsys, *line)
+        assert code == 2, line
+        assert out == "" and err.startswith("error:") and "ascii" in err, line
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_lists_every_subcommand(capsys):
+    code, out, _ = run(capsys, "-h")
+    assert code == 0
+    listed = out.split("positional arguments:", 1)[1]
+    for name in COMMAND_LINES:
+        assert f"\n    {name} " in listed, name
+
+
+def test_unknown_subcommand_is_usage_error(capsys):
+    for argv in (["frobnicate"], ["--out", "census", "frobnicate"], []):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "lattice16: error:" in err, argv
+
+
+def test_parser_holds_only_the_named_subcommand():
+    # Building all eight subparsers costs every command 3-4 ms.  The
+    # global flags are skipped as argparse reads them, abbreviated too:
+    # "--ou census" is a file name, not the census command.
+    for argv, name in (
+        (["census"], "census"),
+        (["--seed", "1", "verify"], "verify"),
+        (["--out", "census", "classify", "0x1"], "classify"),
+        (["--ou", "census", "classify", "0x1"], "classify"),
+        (["render", "0x1", "--form", "grid"], "render"),
+    ):
+        usage = cli.build_parser(argv).format_usage()
+        assert f"{{{name}}}" in usage, (argv, usage)
+    for argv in (None, ["-h"], ["-h", "census"], ["frobnicate"], ["--out"]):
+        usage = cli.build_parser(argv).format_usage()
+        assert "{" + ",".join(COMMAND_LINES) + "}" in usage, argv
+
+
 def test_csv_format_rejected(capsys):
     code, out, err = run(capsys, "--format", "csv", "classify", RHO6)
     assert code == 2

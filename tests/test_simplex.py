@@ -80,6 +80,17 @@ def test_non_integer_entries_rejected():
             feasible_nonneg_solution(a, b)
 
 
+def test_ragged_or_mismatched_system_rejected():
+    # Packed rows would zero-fill a short row: shapes are checked first.
+    for a, b in (
+        ([[1, 1], [1]], [1, 2]),  # a ragged A
+        ([[1, 1]], [1, 2]),  # one row, two right-hand sides
+        ([[1, 1], [1, 0]], [1]),  # two rows, one right-hand side
+    ):
+        with pytest.raises(ValueError):
+            feasible_nonneg_solution(a, b)
+
+
 def test_degenerate_cycling_guard():
     # A classic degenerate instance (rows cleared of denominators);
     # Bland's rule must terminate.
@@ -145,9 +156,9 @@ def _integer_run(monkeypatch, a_rows, b):
     pivots = []
     real = simplex._pivot
 
-    def counting(tab, cost, basis, leave, enter, d):
+    def counting(rows, basis, leave, enter, d, fields):
         pivots.append((leave, enter))
-        return real(tab, cost, basis, leave, enter, d)
+        return real(rows, basis, leave, enter, d, fields)
 
     monkeypatch.setattr(simplex, "_pivot", counting)
     try:
@@ -180,10 +191,11 @@ def test_census_tableau_entries_stay_small(census_lps, monkeypatch):
     widest = 0
     real = simplex._pivot
 
-    def measuring(tab, cost, basis, leave, enter, d):
+    def measuring(rows, basis, leave, enter, d, fields):
         nonlocal widest
-        d = real(tab, cost, basis, leave, enter, d)  # d is an entry of tab
-        widest = max(widest, *(abs(v).bit_length() for row in [*tab, cost] for v in row))
+        d = real(rows, basis, leave, enter, d, fields)  # d is an entry of a row
+        entries = (v for row in rows for v in fields.unpack(row))
+        widest = max(widest, *(abs(v).bit_length() for v in entries))
         return d
 
     monkeypatch.setattr(simplex, "_pivot", measuring)
@@ -228,6 +240,52 @@ def test_random_systems_match_fraction_simplex(data):
         x, pivots = _integer_run(mp, a_rows, b)
     assert x == expected
     assert pivots == ref_pivots
+    if x is None:
+        _, y = simplex._phase1(a_rows, b)
+        assert simplex.is_farkas_certificate(a_rows, b, y)
+
+
+def _wide_system(draw):
+    """Entries near ±2^70, among small ones: every packed field spans
+    several machine words."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    near = st.builds(lambda s, k: s * (2**70 + k), st.sampled_from([-1, 1]),
+                     st.integers(-2**8, 2**8))
+    entry = st.one_of(st.integers(-3, 3), near)
+    a = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):  # plant a nonnegative solution
+        planted = [draw(st.integers(0, 3)) for _ in range(n)]
+        b = [sum(c * v for c, v in zip(row, planted)) for row in a]
+    else:
+        b = [draw(entry) for _ in range(m)]
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_wide_entries_match_fraction_simplex(data):
+    a_rows, b = _wide_system(data.draw)
+    pivots, widths = [], []
+    real = simplex._pivot
+
+    def checking(rows, basis, leave, enter, d, fields):
+        pivots.append((leave, enter))
+        widths.append(fields.w)
+        d = real(rows, basis, leave, enter, d, fields)
+        for row in rows:  # no field overflowed into its neighbour
+            assert sum(v << fields.w * j for j, v in enumerate(fields.unpack(row))) == row
+        return d
+
+    ref_pivots = []
+    expected = fraction_simplex(a_rows, b, ref_pivots)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_pivot", checking)
+        x = feasible_nonneg_solution(a_rows, b)
+    assert x == expected
+    assert pivots == ref_pivots
+    if any(abs(v) > 2**64 for row in a_rows for v in row) and widths:
+        assert min(widths) > 64
     if x is None:
         _, y = simplex._phase1(a_rows, b)
         assert simplex.is_farkas_certificate(a_rows, b, y)
