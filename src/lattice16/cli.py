@@ -117,16 +117,16 @@ def cmd_render(args) -> int:
 
 def cmd_verify(args) -> int:
     report = dense.oracle_sweep()
-    ok = not report["disagreements"]
-    print(
+    bad = report["disagreements"]
+    _write(
         f"swept {report['masks_swept']} subsets, "
         f"{report['spectra_checked']} spectra compared: "
-        + ("OK" if ok else f"{len(report['disagreements'])} disagreements")
+        + (f"{len(bad)} disagreements" if bad else "OK"),
+        args,
     )
-    if not ok:
-        for kind, mask in report["disagreements"][:20]:
-            print(f"  {kind}: 0x{mask:04X}", file=sys.stderr)
-    return 0 if ok else 1
+    for kind, mask in bad[:20]:
+        print(f"  {kind}: 0x{mask:04X}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 def _subset(p: argparse.ArgumentParser) -> None:

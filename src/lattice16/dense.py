@@ -14,19 +14,16 @@ the 16 identities in exact (dyadic) float arithmetic, counts
 spectrum, the PPT flag and the k=1 witness value of every mask with
 integer equality.
 
-The extended reduction map Phi_V[B] = Tr(B) I_4 - B - V B^T V*, for
-any admissible V (unitary, antisymmetric), is defined once, by
-:func:`phi_v` on each 4x4 matrix of a stack; :func:`apply_id_tensor_phi`
-applies it to each 4x4 block of a bipartite operator.  It is the oracle
-of the integer k=1 witness scan of :mod:`lattice16.witness`: the sweep
-applies it with the V that ``witness.canonical_slot`` picks and reads
-it in the one psi basis Psi that also proves the sign identities.
+Phi_V[B] = Tr(B) I_4 - B - V B^T V* is defined once, by :func:`phi_v`,
+and applied blockwise by :func:`apply_id_tensor_phi`.  The sweep applies
+it only with the six V = sigma_xy of ``witness.canonical_slot``, after
+checking exactly the hypotheses of its positivity proof (in
+:mod:`lattice16.witness`), in the psi basis Psi of the sign identities.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,13 +37,9 @@ __all__ = [
     "analytic_pt_spectrum",
     "pt_min_eigenvalues_all",
     "oracle_sweep",
-    "VMatrix",
-    "pauli_coefficients",
     "theta_v",
     "phi_v",
     "apply_id_tensor_phi",
-    "phi_v_tilde_diagonal",
-    "random_admissible_v",
 ]
 
 
@@ -126,53 +119,18 @@ def pt_min_eigenvalues_all() -> np.ndarray:
     return (2 * pos - n) / (4.0 * n)
 
 
-@dataclass(frozen=True)
-class VMatrix:
-    """An admissible 4x4 unitary antisymmetric matrix with its Pauli
-    expansion (supported only on slots (a,2) and (2,b), a,b != 2).
-    Both arrays are read-only copies."""
-
-    matrix: np.ndarray
-    label: str = "general"
-    coefficients: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError("V must be 4x4")
-        if np.abs(m @ m.conj().T - np.eye(4)).max() > 1e-12:
-            raise ValueError("V is not unitary")
-        if np.abs(m.T + m).max() > 1e-12:
-            raise ValueError("V is not antisymmetric")
-        c = pauli_coefficients(m)
-        two = np.arange(4) == 2
-        if np.any((np.abs(c) > 1e-12) & (two[:, None] == two)):
-            raise ValueError("V has Pauli support outside the antisymmetric slots")
-        m.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "coefficients", c)
-
-
-def pauli_coefficients(m: np.ndarray) -> np.ndarray:
-    """Expansion coefficients v[a][b] of a 4x4 matrix over sigma_ab."""
-    return np.array(
-        [[np.trace(pauli.sigma_pair(a, b) @ m) / 4 for b in range(4)] for a in range(4)]
-    )
-
-
-def theta_v(v: VMatrix, b: np.ndarray) -> np.ndarray:
+def theta_v(v: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The antiunitary conjugation B -> V B^T V* of each 4x4 matrix in a stack."""
-    return v.matrix @ b.swapaxes(-1, -2) @ v.matrix.conj().T
+    return v @ b.swapaxes(-1, -2) @ v.conj().T
 
 
-def phi_v(v: VMatrix, b: np.ndarray) -> np.ndarray:
-    """Tr(B) I - B - theta_V[B] of each 4x4 B in a stack; positive on positive B."""
+def phi_v(v: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tr(B) I - B - theta_V[B] of each 4x4 B in a stack (positive for admissible V)."""
     trace = np.trace(b, axis1=-2, axis2=-1)[..., None, None]
     return trace * np.eye(4) - b - theta_v(v, b)
 
 
-def apply_id_tensor_phi(v: VMatrix, rho: np.ndarray) -> np.ndarray:
+def apply_id_tensor_phi(v: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Apply Phi_V to the second factor of a 16x16 bipartite operator, or
     of each one in a stack of shape (..., 16, 16): :func:`phi_v` on each
     4x4 block."""
@@ -182,43 +140,20 @@ def apply_id_tensor_phi(v: VMatrix, rho: np.ndarray) -> np.ndarray:
     return phi_v(v, blocks).swapaxes(-3, -2).reshape(*lead, 16, 16)
 
 
-def phi_v_tilde_diagonal(mask: int, mu: int, nu: int, v: VMatrix) -> float:
-    """Closed-form diagonal element <psi_mn| (id x Phi~_V)[rho_I] |psi_mn>.
-
-    Equals k_mn/(2N) - (1/N) sum over (a,b) in I of |v_{mu^a, nu^b}|^2,
-    where mu ^ a is the index map i_mu(a).
-    """
-    n = lattice.state_cardinality(mask)
-    points = lattice.sites(mask)
-    absorbed = sum(abs(v.coefficients[mu ^ a, nu ^ b]) ** 2 for a, b in points)
-    return lattice.k_matrix(mask)[mu][nu] / (2.0 * n) - absorbed / n
+def _slot_v(x: int, y: int) -> np.ndarray:
+    """V = sigma_xy once V V^dag = I and V^T = -V hold exactly (its entries
+    are 0, +-1, +-i); ConsistencyError otherwise (canonical_slot chose it)."""
+    v = pauli.sigma_pair(x, y)
+    if not (np.array_equal(v @ v.conj().T, np.eye(4)) and np.array_equal(v.T, -v)):
+        raise lattice.ConsistencyError(f"sigma_{x}{y} is not an admissible V")
+    return v
 
 
-def random_admissible_v(rng: np.random.Generator) -> VMatrix:
-    """Haar-style random admissible V: congruence of sigma_20 by a
-    random unitary preserves both antisymmetry and unitarity."""
-    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return VMatrix(q @ pauli.sigma_pair(2, 0) @ q.T, label="random")
-
-
-def _slot_v(x: int, y: int) -> VMatrix:
-    """sigma_xy as a VMatrix; ConsistencyError if it is not admissible,
-    since the slot comes from witness.canonical_slot."""
-    try:
-        return VMatrix(pauli.sigma_pair(x, y))
-    except ValueError as exc:
-        raise lattice.ConsistencyError(
-            f"sigma_{x}{y} is not an admissible V: {exc}"
-        ) from exc
-
-
-def _tilde_diagonal(rho: np.ndarray, v: VMatrix) -> np.ndarray:
+def _tilde_diagonal(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The diagonal of W^dag (id x Phi_V)[rho] W, W = (I x V) Psi: entry (mu, nu)
     is <psi_mn| (I x V^dag) (id x Phi_V)[rho] (I x V) |psi_mn>, real, of shape
     (..., 4, 4) for a stack of shape (..., 16, 16)."""
-    w = np.kron(np.eye(4), v.matrix) @ _psi()
+    w = np.kron(np.eye(4), v) @ _psi()
     diag = (w.conj() * (apply_id_tensor_phi(v, rho) @ w)).sum(axis=-2).real
     return diag.reshape(*rho.shape[:-2], 4, 4)
 

@@ -82,8 +82,7 @@ def feasible_nonneg_solution(
     """
     if not all(isinstance(v, int) for row in [*a_rows, b] for v in row):
         raise TypeError("the simplex takes int entries only")
-    if len(a_rows) != len(b) or len({len(row) for row in a_rows}) > 1:
-        raise ValueError("A must be rectangular with one row per entry of b")
+    _check_rectangular(a_rows, b)
     x, y = _phase1(a_rows, b)
     if x is None and not is_farkas_certificate(a_rows, b, y):
         raise ConsistencyError("phase 1 ended infeasible without a Farkas vector")
@@ -94,12 +93,18 @@ def is_farkas_certificate(
     a_rows: list[list[int]], b: list[int], y: list[int]
 ) -> bool:
     """True when yᵀA >= 0 and yᵀb < 0, checked exactly: then A x = b has
-    no solution with x >= 0."""
+    no solution with x >= 0.  ValueError on a ragged A or a wrong-length b."""
+    _check_rectangular(a_rows, b)
     if len(y) != len(a_rows):
         return False
     if sum(yi * bi for yi, bi in zip(y, b)) >= 0:
         return False
     return all(sum(yi * v for yi, v in zip(y, col)) >= 0 for col in zip(*a_rows))
+
+
+def _check_rectangular(a_rows, b) -> None:
+    if len(a_rows) != len(b) or len({len(row) for row in a_rows}) > 1:
+        raise ValueError("A must be rectangular with one row per entry of b")
 
 
 class _Fields(NamedTuple):

@@ -1,18 +1,23 @@
 """The k=1 witness scan of the extended reduction criterion, in integers.
 
-Phi_V[B] = Tr(B) I_4 - B - V B^T V*  with V unitary and antisymmetric.
-Partially applied to the second party of a lattice state, its diagonal
-element at psi_mn (conjugated by I x V) is (k_mn - 2 absorbed) / (2N)
-for a single-Pauli V = sigma_xy, where absorbed counts the sites (a, b)
-of I with (mu ^ a, nu ^ b) = (x, y): the index map i_mu(a) of the Pauli
-product s_mu s_a is mu ^ a.  A site with k_mn = 1 has one point of I on
-its cross; :func:`canonical_slot` picks the V that absorbs it, so the
-value is -1/(2N).
+Phi_V[B] = Tr(B) I_4 - B - V B^T V* is positive for V unitary and
+antisymmetric (Breuer, PRL 97, 080501, 2006; Hall, J. Phys. A 39, 14119,
+2006).  Proof: for a unit vector b and w = V b* (b* the complex conjugate),
+Phi_V[|b><b|] = I - |b><b| - |w><w|.  w is a unit vector as V is unitary,
+and the scalar <b|w> = b*^T V b* equals its transpose b*^T V^T b*, which
+is -b*^T V b*, so it is 0.  So Phi_V[|b><b|] is I minus two orthogonal
+rank-one projectors, which is positive; by linearity so is Phi_V[B] for
+every positive B.  Both hypotheses are exact equalities, and of the
+sixteen sigma_xy exactly the six with one index equal to 2 meet them.
 
-The scan checks that identity with integers only.  The operator route
-for a general V lives in :mod:`lattice16.dense`, whose
-:func:`~lattice16.dense.oracle_sweep` proves every k=1 witness value
-against the dense operators, exactly.
+Partially applied to the second party of a lattice state, the diagonal
+element at psi_mn (conjugated by I x V) is (k_mn - 2 absorbed) / (2N)
+for V = sigma_xy, where absorbed counts the sites (a, b) of I with
+(mu ^ a, nu ^ b) = (x, y), mu ^ a being the index map i_mu(a) of the
+Pauli product s_mu s_a.  A site with k_mn = 1 has one point of I on its
+cross; :func:`canonical_slot` picks the V that absorbs it, so the value
+is -1/(2N).  The scan checks that identity in integers, and
+:func:`lattice16.dense.oracle_sweep` against the dense operators.
 """
 
 from __future__ import annotations

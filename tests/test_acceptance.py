@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from admissible_v import VMatrix, phi_v_tilde_diagonal, random_admissible_v
 from generator_unitaries import verify_generator_numerically
 from lattice16 import (
     classifier,
@@ -111,8 +112,8 @@ def test_criterion_04_k1_witness_everywhere(capsys):
         ok &= bool(reports)
         ok &= all(abs(r.value - bound) <= 1e-10 for r in reports)
         slot = witness.canonical_slot(reports[0].contributing_site, reports[0].center)
-        v = dense.VMatrix(pauli.sigma_pair(*slot))
-        op = dense.apply_id_tensor_phi(v, dense.build_lattice_state(mask))
+        v = VMatrix(pauli.sigma_pair(*slot))
+        op = dense.apply_id_tensor_phi(v.matrix, dense.build_lattice_state(mask))
         ok &= np.linalg.eigvalsh(op).min() <= bound + 1e-10
         if not ok:
             break
@@ -132,7 +133,7 @@ def test_criterion_05_kappa_ge_2_no_witness(capsys):
             if len(targets) == 100:
                 break
     rng = np.random.default_rng(0)
-    vs = [dense.random_admissible_v(rng) for _ in range(100)]
+    vs = [random_admissible_v(rng) for _ in range(100)]
     ok = len(targets) == 100
     for mask in targets:
         n = lattice.cardinality(mask)
@@ -141,7 +142,7 @@ def test_criterion_05_kappa_ge_2_no_witness(capsys):
         for v in vs:
             for mu in range(4):
                 for nu in range(4):
-                    if dense.phi_v_tilde_diagonal(mask, mu, nu, v) < floor:
+                    if phi_v_tilde_diagonal(mask, mu, nu, v) < floor:
                         ok = False
         if not ok:
             break
@@ -204,7 +205,7 @@ def test_criterion_08_open_cases_undecided(capsys, grids):
     # LP then certifies each separable, over a basis whose 60 members are
     # themselves proven separable by exact product ensembles.
     rng = np.random.default_rng(0)
-    vs = [dense.random_admissible_v(rng) for _ in range(100)]
+    vs = [random_admissible_v(rng) for _ in range(100)]
     ok = True
     for name in ("open_n8", "open_n9", "open_n10", "open_n11"):
         mask = grids[name]
@@ -213,7 +214,7 @@ def test_criterion_08_open_cases_undecided(capsys, grids):
         ok &= lattice.prop1b_entangled(mask) is None
         rho = dense.build_lattice_state(mask)
         for v in vs:
-            op = dense.apply_id_tensor_phi(v, rho)
+            op = dense.apply_id_tensor_phi(v.matrix, rho)
             ok &= np.linalg.eigvalsh(op).min() >= -1e-10
         cls = classifier.classify(mask)
         ok &= cls.label is Label.SEPARABLE

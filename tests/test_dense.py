@@ -3,6 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from admissible_v import (
+    VMatrix,
+    pauli_coefficients,
+    phi_v_tilde_diagonal,
+    random_admissible_v,
+)
 from diag_states import build_diag_state
 from lattice16 import cli, dense, lattice, pauli, tables, witness
 
@@ -327,7 +333,7 @@ def test_oracle_sweep_needs_no_eigensolver(monkeypatch):
 
 
 def _tilde_diagonal_13(mask):
-    return dense.phi_v_tilde_diagonal(mask, 1, 3, dense.VMatrix(pauli.sigma_pair(2, 0)))
+    return phi_v_tilde_diagonal(mask, 1, 3, VMatrix(pauli.sigma_pair(2, 0)))
 
 
 @pytest.mark.parametrize(
@@ -354,10 +360,12 @@ def _random_psd(rng):
 
 def test_vmatrix_validation():
     with pytest.raises(ValueError):
-        dense.VMatrix(np.eye(4))  # symmetric, not antisymmetric
+        VMatrix(np.eye(4))  # symmetric, not antisymmetric
     with pytest.raises(ValueError):
-        dense.VMatrix(0.5 * pauli.sigma_pair(2, 0))  # not unitary
-    v = dense.VMatrix(pauli.sigma_pair(2, 0))
+        VMatrix(0.5 * pauli.sigma_pair(2, 0))  # not unitary
+    with pytest.raises(ValueError):
+        VMatrix(pauli.sigma_pair(2, 2))  # symmetric: the slot (2, 2) is not admissible
+    v = VMatrix(pauli.sigma_pair(2, 0))
     assert abs(v.coefficients[2, 0] - 1) < 1e-12
     assert np.abs(v.coefficients).sum() == pytest.approx(1.0, abs=1e-12)
     assert not v.matrix.flags.writeable
@@ -369,16 +377,16 @@ def test_antisymmetric_pauli_slots():
     # the whole antisymmetric 4x4 space, so every antisymmetric unitary
     # has admissible support. Accept each of them plus a unitary mix.
     for a in (0, 1, 3):
-        dense.VMatrix(pauli.sigma_pair(a, 2))
-        dense.VMatrix(pauli.sigma_pair(2, a))
+        VMatrix(pauli.sigma_pair(a, 2))
+        VMatrix(pauli.sigma_pair(2, a))
     mix = (pauli.sigma_pair(1, 2) + pauli.sigma_pair(3, 2)) / np.sqrt(2)
     assert np.abs(mix @ mix.conj().T - np.eye(4)).max() < 1e-12
-    dense.VMatrix(mix)
+    VMatrix(mix)
 
 
 def test_pauli_coefficients_round_trip():
     m = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
-    c = dense.pauli_coefficients(m)
+    c = pauli_coefficients(m)
     recon = sum(
         c[a, b] * pauli.sigma_pair(a, b) for a in range(4) for b in range(4)
     )
@@ -386,19 +394,19 @@ def test_pauli_coefficients_round_trip():
 
 
 def test_theta_and_phi_definitions():
-    v = dense.VMatrix(pauli.sigma_pair(2, 0))
+    v = VMatrix(pauli.sigma_pair(2, 0))
     b = _random_psd(RNG)
     assert np.abs(
-        dense.theta_v(v, b) - v.matrix @ b.T @ v.matrix.conj().T
+        dense.theta_v(v.matrix, b) - v.matrix @ b.T @ v.matrix.conj().T
     ).max() == 0
-    out = dense.phi_v(v, b)
-    expected = np.trace(b) * np.eye(4) - b - dense.theta_v(v, b)
+    out = dense.phi_v(v.matrix, b)
+    expected = np.trace(b) * np.eye(4) - b - dense.theta_v(v.matrix, b)
     assert np.abs(out - expected).max() < 1e-12
 
 
 def test_theta_and_phi_act_on_stacks():
     # Each 4x4 matrix of a stack maps as it does on its own.
-    v = dense.random_admissible_v(RNG)
+    v = random_admissible_v(RNG).matrix
     stack = RNG.normal(size=(3, 5, 4, 4)) + 1j * RNG.normal(size=(3, 5, 4, 4))
     thetas, phis = dense.theta_v(v, stack), dense.phi_v(v, stack)
     assert thetas.shape == phis.shape == stack.shape
@@ -410,17 +418,18 @@ def test_theta_and_phi_act_on_stacks():
 def test_phi_positive_on_psd():
     # The defining property of the extended reduction map: it sends
     # positive matrices to positive matrices for every admissible V.
-    vs = [dense.random_admissible_v(RNG) for _ in range(10)]
-    vs.append(dense.VMatrix(pauli.sigma_pair(2, 0)))
-    vs.append(dense.VMatrix(pauli.sigma_pair(1, 2)))
+    # lattice16.witness proves it; this checks phi_v in float arithmetic.
+    vs = [random_admissible_v(RNG) for _ in range(10)]
+    vs.append(VMatrix(pauli.sigma_pair(2, 0)))
+    vs.append(VMatrix(pauli.sigma_pair(1, 2)))
     for _ in range(1000):
         b = _random_psd(RNG)
         for v in vs:
-            assert np.linalg.eigvalsh(dense.phi_v(v, b)).min() > -1e-9
+            assert np.linalg.eigvalsh(dense.phi_v(v.matrix, b)).min() > -1e-9
 
 
 def test_apply_id_tensor_phi_on_kron():
-    v = dense.random_admissible_v(RNG)
+    v = random_admissible_v(RNG).matrix
     a = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
     b = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
     got = dense.apply_id_tensor_phi(v, np.kron(a, b))
@@ -432,9 +441,9 @@ def test_tilde_and_plain_spectra_agree():
     # Conjugating by I (x) V is unitary, so the two routes share spectra.
     for _ in range(10):
         mask = int(RNG.integers(1, lattice.FULL_MASK + 1))
-        v = dense.random_admissible_v(RNG)
+        v = random_admissible_v(RNG)
         rho = dense.build_lattice_state(mask)
-        out = dense.apply_id_tensor_phi(v, rho)
+        out = dense.apply_id_tensor_phi(v.matrix, rho)
         iv = np.kron(np.eye(4), v.matrix)
         tilde = iv.conj().T @ out @ iv
         assert np.abs(
@@ -445,16 +454,16 @@ def test_tilde_and_plain_spectra_agree():
 def test_closed_form_matches_dense_random():
     for _ in range(10):
         mask = int(RNG.integers(1, lattice.FULL_MASK + 1))
-        v = dense.random_admissible_v(RNG)
-        dense_vals = dense._tilde_diagonal(dense.build_lattice_state(mask), v)
+        v = random_admissible_v(RNG)
+        dense_vals = dense._tilde_diagonal(dense.build_lattice_state(mask), v.matrix)
         for mu, nu in ((0, 0), (1, 3), (2, 2)):
-            closed = dense.phi_v_tilde_diagonal(mask, mu, nu, v)
+            closed = phi_v_tilde_diagonal(mask, mu, nu, v)
             assert closed == pytest.approx(dense_vals[mu, nu], abs=1e-10)
 
 
 def test_random_admissible_v_is_admissible():
     for _ in range(20):
-        v = dense.random_admissible_v(RNG)
+        v = random_admissible_v(RNG)
         m = v.matrix
         assert np.abs(m @ m.conj().T - np.eye(4)).max() < 1e-10
         assert np.abs(m + m.T).max() < 1e-10

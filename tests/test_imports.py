@@ -111,8 +111,7 @@ def test_integer_modules_do_not_import_numpy():
 def test_only_pt_spectrum_calls_an_eigensolver():
     # verify proves every spectrum with integer counts; LAPACK serves only
     # the one-subset display of ptspectrum.  Any other reference to an
-    # eigensolver in src/ would be a second spectrum route.  (np.linalg.qr
-    # in random_admissible_v is not an eigensolver.)
+    # eigensolver in src/ would be a second spectrum route.
     eigensolvers = {"eigvalsh", "eigh", "eigvals", "eig"}
     found = []
     for path in sorted((ROOT / "src").rglob("*.py")):
@@ -132,6 +131,31 @@ def test_only_pt_spectrum_calls_an_eigensolver():
             if name in eigensolvers:
                 found.append((path.stem, owner.get(node)))
     assert found == [("dense", "pt_spectrum")]
+
+
+def test_src_compares_against_no_tolerance():
+    # Every check in src/ is an exact equality: the positivity of Phi_V
+    # rests on V V^dag = I and V^T = -V, checked with np.array_equal, and
+    # the dense sweep counts in integers.  A small float constant, or a
+    # tolerant comparison, would be a judgement instead of a proof.
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (
+                node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, ast.alias)
+                else None
+            )
+            if name in {"isclose", "allclose", "approx"}:
+                found.append((path.stem, node.lineno, name))
+            if (
+                isinstance(node, ast.Constant)
+                and type(node.value) in (float, complex)
+                and 0 < abs(node.value) < 2**-10
+            ):
+                found.append((path.stem, node.lineno, node.value))
+    assert found == []
 
 
 def test_only_tables_builds_byte_tables():

@@ -337,6 +337,18 @@ def test_tampered_farkas_vector_rejected(census_lps):
     assert not simplex.is_farkas_certificate(a_rows, b, bent)
 
 
+def test_farkas_check_rejects_ragged_input():
+    # zip would cut the short row: yᵀA read as [1, 0], not [1, -5].
+    with pytest.raises(ValueError, match="rectangular"):
+        simplex.is_farkas_certificate([[1, -5], [1]], [-1, 0], [1, 0])
+    # ... or ignore the extra entry of b.
+    with pytest.raises(ValueError, match="rectangular"):
+        simplex.is_farkas_certificate([[1, -5], [1, 0]], [-1, 0, 7], [1, 0])
+    with pytest.raises(ValueError, match="rectangular"):
+        simplex.is_farkas_certificate([[1, -5], [1, 0]], [-1], [1, 0])
+    assert not simplex.is_farkas_certificate([[1, -5], [1, 0]], [-1, 0], [1, 0])
+
+
 def test_infeasible_without_farkas_vector_raises(monkeypatch):
     a, b = [[1, 1], [1, 1]], [1, 2]
     assert feasible_nonneg_solution(a, b) is None

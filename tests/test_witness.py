@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from admissible_v import VMatrix, phi_v_tilde_diagonal
 from lattice16 import dense, lattice, pauli, witness
 
 # The six admissible single-Pauli V: sigma_g2 and sigma_2d.
@@ -62,7 +63,7 @@ def test_canonical_witness_identities():
     slots = {witness.canonical_slot(s, c) for s, c in _cross_sites()}
     assert sorted(slots) == sorted(CANONICAL_SLOTS)
     for slot in slots:
-        v = dense.VMatrix(pauli.sigma_pair(*slot))
+        v = VMatrix(pauli.sigma_pair(*slot))
         for a, b in pauli.ALL_SITES:
             expected = np.zeros((4, 4))
             for mu, nu in pauli.ALL_SITES:
@@ -70,9 +71,52 @@ def test_canonical_witness_identities():
                 absorbed = (mu ^ a, nu ^ b) == slot
                 expected[mu, nu] = on_cross / 2 - absorbed
                 single = 1 << (4 * a + b)
-                assert dense.phi_v_tilde_diagonal(single, mu, nu, v) == expected[mu, nu]
-            got = dense._tilde_diagonal(pauli.projector(a, b), v)
+                assert phi_v_tilde_diagonal(single, mu, nu, v) == expected[mu, nu]
+            got = dense._tilde_diagonal(pauli.projector(a, b), v.matrix)
             assert np.array_equal(got, expected), (slot, a, b)
+
+
+def _exactly_admissible(v):
+    """The two hypotheses of the positivity proof, with exact equality."""
+    return np.array_equal(v @ v.conj().T, np.eye(4)) and np.array_equal(v.T, -v)
+
+
+def test_admissible_slots_are_exactly_the_unitary_antisymmetric_sigmas():
+    # Phi_V is positive when V V^dag = I and V^T = -V.  Among all 16
+    # sigma_xy both hold, exactly, when one index is 2 (the rule that
+    # witness_scan checks in integers), and those six are the slots that
+    # canonical_slot returns; dense._slot_v accepts them and no other.
+    admissible = []
+    for x, y in pauli.ALL_SITES:
+        ok = _exactly_admissible(pauli.sigma_pair(x, y))
+        assert ok == ((x == 2) != (y == 2)), (x, y)
+        if ok:
+            admissible.append((x, y))
+            assert dense._slot_v(x, y) is pauli.sigma_pair(x, y)
+        else:
+            with pytest.raises(lattice.ConsistencyError, match=f"sigma_{x}{y}"):
+                dense._slot_v(x, y)
+    assert sorted(admissible) == sorted(CANONICAL_SLOTS)
+    assert {witness.canonical_slot(s, c) for s, c in _cross_sites()} == set(admissible)
+
+
+def test_positivity_proof_steps_exact():
+    # The proof's steps on unnormalised b with small Gaussian-integer
+    # entries, where float arithmetic is exact: with w = V conj(b),
+    # Phi_V[b b^dag] = |b|^2 I - b b^dag - w w^dag, |w| = |b| and
+    # <b|w> = 0, so Phi_V[b b^dag] is |b|^2 times I minus two orthogonal
+    # rank-one projectors.
+    rng = np.random.default_rng(22)
+    for slot in CANONICAL_SLOTS:
+        v = dense._slot_v(*slot)
+        for _ in range(50):
+            b = rng.integers(-3, 4, size=4) + 1j * rng.integers(-3, 4, size=4)
+            w = v @ b.conj()
+            norm2 = np.vdot(b, b)
+            bb, ww = np.outer(b, b.conj()), np.outer(w, w.conj())
+            assert np.array_equal(dense.phi_v(v, bb), norm2 * np.eye(4) - bb - ww)
+            assert np.vdot(w, w) == norm2
+            assert np.vdot(b, w) == 0
 
 
 def test_witness_scan_examples(grids):
