@@ -55,6 +55,16 @@ class Classification:
             "evidence": self.evidence,
         }
 
+    @classmethod
+    def from_json(cls, payload: dict) -> Classification:
+        """The inverse of :meth:`to_json`; ValueError on an unknown label
+        or justification.  The evidence is taken as it is, unchecked."""
+        return cls(
+            label=Label(payload["label"]),
+            justification=Justification(payload["justification"]),
+            evidence=payload["evidence"],
+        )
+
 
 @dataclass(frozen=True)
 class CensusRecord:

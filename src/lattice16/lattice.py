@@ -9,10 +9,15 @@ Column alpha is the nibble ``mask >> 4*alpha & 0xF`` and row beta the
 bits ``mask & 0x1111 << beta``, so every count is an ``int.bit_count()``:
 the 16 cross counts behind ``k_matrix``, ``kappa``, ``is_ppt`` and
 ``prop1b_entangled`` come from 4 column and 4 row popcounts per mask.
+They are computed once per classification: ``_cross_counts`` keeps the
+last mask it was asked about, and every call inside one classification
+(the PPT test, the witness scan, the LP's PPT guard, the census's
+``kappa``) asks about that same mask.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 __all__ = [
@@ -119,11 +124,18 @@ def cross_count(mask: int, alpha: int, beta: int) -> int:
     return col + row - 2 * (mask >> pos & 1)
 
 
-def _cross_counts(mask: int) -> list[int]:
+# One entry: the calls of one classification all ask about the same
+# mask in a row, so a last-mask memo serves them in O(1) memory.  Typed,
+# so that a numpy integer equal to the last mask gets its own entry and
+# never hands its numpy-typed counts to an int caller.
+@functools.lru_cache(maxsize=1, typed=True)
+def _cross_counts(mask: int) -> tuple[int, ...]:
     """cross_count(mask, a, b) for all 16 sites, in bit-position order
     4a+b, from the 4 column and 4 row popcounts."""
     cols, rows = column_counts(mask), row_counts(mask)
-    return [cols[pos >> 2] + rows[pos & 3] - 2 * (mask >> pos & 1) for pos in range(16)]
+    return tuple(
+        [cols[pos >> 2] + rows[pos & 3] - 2 * (mask >> pos & 1) for pos in range(16)]
+    )
 
 
 def k_matrix(mask: int) -> list[list[int]]:

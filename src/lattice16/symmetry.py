@@ -11,6 +11,7 @@ check that it is the closure of the generators.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -46,15 +47,19 @@ class SymmetryElement:
             alpha, beta = beta, alpha
         return self.col_perm[alpha], self.row_perm[beta]
 
-    @functools.cache  # elements are immutable; the group holds them all anyway
     def site_map(self) -> tuple[int, ...]:
-        """Bit-position image table: site 4a+b -> 4a'+b'."""
-        out = []
-        for a in range(4):
-            for b in range(4):
-                x, y = self.apply_site(a, b)
-                out.append(4 * x + y)
-        return tuple(out)
+        """Bit-position image table: site 4a+b -> 4a'+b', that is
+        apply_site(a, b) for every site in bit-position order."""
+        return self._site_map
+
+    # Kept on the instance (elements are immutable), so that act reads it
+    # without hashing the element.
+    @functools.cached_property
+    def _site_map(self) -> tuple[int, ...]:
+        cols, rows = self.col_perm, self.row_perm
+        if self.swap_axes:  # site (a, b) reads (b, a): the outer loop runs over a
+            return tuple([4 * c + r for r in rows for c in cols])
+        return tuple([4 * c + r for c in cols for r in rows])
 
 
 @dataclass(frozen=True)
@@ -113,12 +118,14 @@ def group() -> list[SymmetryElement]:
 
 def act(g: SymmetryElement, mask: int) -> int:
     """The image of the mask under g; ValueError unless 0 <= mask <= FULL_MASK."""
-    lattice._in_range(mask)
+    # index(): numpy integers have no bit_length; floats stay refused.
+    mask = operator.index(lattice._in_range(mask))
     out = 0
     table = g.site_map()
-    for pos in range(16):
-        if mask >> pos & 1:
-            out |= 1 << table[pos]
+    while mask:
+        low = mask & -mask  # the lowest set bit
+        out |= 1 << table[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
@@ -152,22 +159,28 @@ def _orbit_images(mask: int) -> np.ndarray:
 
 def canonical_form(mask: int) -> OrbitRecord:
     """Lexicographically minimal mask in the orbit, with orbit and
-    stabilizer sizes (their product is the group order)."""
-    images = np.sort(_orbit_images(mask))
-    orbit_size = 1 + int(np.count_nonzero(images[1:] != images[:-1]))
+    stabilizer sizes (their product is the group order).
+
+    One gather, no sort: the stabilizer is the set of elements that fix
+    the mask, and by the orbit-stabilizer theorem each image appears
+    exactly stabilizer_order times among the 1152.
+    """
+    images = _orbit_images(mask)
+    stabilizer_order = int(np.count_nonzero(images == mask))
     return OrbitRecord(
-        canonical=int(images[0]),
-        orbit_size=orbit_size,
-        stabilizer_order=len(images) // orbit_size,
+        canonical=int(images.min()),
+        orbit_size=len(images) // stabilizer_order,
+        stabilizer_order=stabilizer_order,
     )
 
 
 def find_mapping(source: int, target: int) -> SymmetryElement:
     """The first element g of group() with act(g, source) == target."""
-    hits = np.flatnonzero(_orbit_images(source) == target)
-    if not len(hits):
+    images = _orbit_images(source)
+    first = int(np.argmax(images == target))
+    if images[first] != target:
         raise ValueError("masks are not in the same orbit")
-    return _element(int(hits[0]))
+    return _element(first)
 
 
 @functools.cache

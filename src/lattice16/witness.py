@@ -85,6 +85,9 @@ def witness_scan(mask: int) -> list[WitnessReport]:
     """
     if not lattice.is_ppt(mask):
         raise ValueError("witness scan is only defined for PPT subsets")
+    # The k-matrix is a permutation of the cross counts, so this is exact.
+    if 1 not in lattice._cross_counts(mask):
+        return []
     in_mask = lattice.sites(mask)
     n = len(in_mask)
     k = lattice.k_matrix(mask)

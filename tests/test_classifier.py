@@ -198,11 +198,72 @@ def test_explain_outputs(grids):
 
 # The census output is fixed: the benchmark pins the same digest.
 CENSUS_SHA256 = "c67b3bd90041241a2f8c4946e2de55acbdd9e6208f4d3cd5a9bce8d6cdcab302"
+# The sha256 of every mask's classification, one JSON line each, masks
+# 1..0xFFFF in order: it pins every verdict and every piece of evidence,
+# not only those of the census's 191 representatives.
+CLASSIFY_ALL_SHA256 = "21ad1f036ab740fd71b00e9d30ebe097e038db03587f659f1f7da34712d5c828"
 
 
 def test_census_jsonl_golden():
     text = classifier.census_to_jsonl(classifier.census())
     assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_SHA256
+
+
+def test_classify_every_mask_golden():
+    digest = hashlib.sha256()
+    for mask in range(1, lattice.FULL_MASK + 1):
+        line = json.dumps(classifier.classify(mask).to_json(), sort_keys=True) + "\n"
+        digest.update(line.encode())
+    assert digest.hexdigest() == CLASSIFY_ALL_SHA256
+
+
+def test_cross_counts_computed_once_per_classification(grids, monkeypatch):
+    # The PPT test, the witness scan and the LP's PPT guard all read the
+    # cross counts of one mask; the last-mask memo computes them once.
+    column_counts, sites = lattice.column_counts, lattice.sites
+    calls = {"column_counts": 0, "sites": 0}
+
+    def counting(name, fn):
+        def wrapper(mask):
+            calls[name] += 1
+            return fn(mask)
+
+        return wrapper
+
+    monkeypatch.setattr(lattice, "column_counts", counting("column_counts", column_counts))
+    monkeypatch.setattr(lattice, "sites", counting("sites", sites))
+    rho9 = grids["rho9"]  # separable by the LP, no k=1 entry
+    for mask, justification in (
+        (rho9, Justification.LP_CERTIFICATE),
+        (0x0003, Justification.PROP1A_VIOLATION),
+    ):
+        lattice._cross_counts.cache_clear()
+        calls["column_counts"] = 0
+        assert classifier.classify(mask).justification is justification
+        assert calls["column_counts"] == 1, hex(mask)
+    # With no k=1 entry the scan returns before listing the sites.
+    assert 1 not in lattice._cross_counts(rho9)
+    calls["sites"] = 0
+    assert witness.witness_scan(rho9) == []
+    assert calls["sites"] == 0
+
+
+def test_classification_from_json_round_trip(grids, full_census):
+    found = [classifier.classify(mask) for mask in grids.values()]
+    found += [
+        classifier.Classification(r.label, r.justification, r.evidence)
+        for r in full_census
+    ]
+    assert len(found) == 14 + 191
+    for cls in found:
+        text = json.dumps(cls.to_json(), sort_keys=True)
+        back = classifier.Classification.from_json(json.loads(text))
+        assert back == cls
+        assert json.dumps(back.to_json(), sort_keys=True) == text
+    payload = found[0].to_json()
+    for key in ("label", "justification"):
+        with pytest.raises(ValueError):
+            classifier.Classification.from_json({**payload, key: "NO_SUCH_NAME"})
 
 
 def test_masks_outside_16_bits_are_rejected():

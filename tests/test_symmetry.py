@@ -9,6 +9,8 @@ from lattice16 import lattice, symmetry
 random.seed(11)
 
 IDENTITY = symmetry.SymmetryElement((0, 1, 2, 3), (0, 1, 2, 3), False)
+# Every site (a, b), in bit-position order 4a+b.
+SITES = list(itertools.product(range(4), repeat=2))
 
 
 def compose(g, h):
@@ -111,13 +113,19 @@ def test_action_preserves_invariants():
 
 def test_group_site_maps_and_byte_tables():
     # The broadcast site maps and the doubled byte tables against the
-    # per-element site_map() and act(), which stay the reference.
+    # per-element site_map() and act(), which stay the reference; and
+    # site_map() against apply_site(), site by site.
     grp = symmetry.group()
+    for el in grp:
+        assert el.site_map() == tuple(
+            4 * x + y for x, y in itertools.starmap(el.apply_site, SITES)
+        )
     maps = symmetry._group_site_maps()
     assert maps.shape == (1152, 16)
     assert maps.tolist() == [list(el.site_map()) for el in grp]
     lo, hi = symmetry._group_byte_tables()
     masks = [1 << pos for pos in range(16)] + [0x00FF, 0xFF00, lattice.FULL_MASK]
+    masks += random.Random(200).sample(range(lattice.FULL_MASK + 1), 200)
     for mask in masks:
         images = lo[mask & 0xFF] | hi[mask >> 8]
         assert images.tolist() == [symmetry.act(g, mask) for g in grp]
@@ -128,6 +136,25 @@ def test_canonical_form_orbit_stabilizer():
         rec = symmetry.canonical_form(mask)
         assert rec.orbit_size * rec.stabilizer_order == 1152
         assert rec.canonical <= mask
+
+
+def test_canonical_form_agrees_with_tables_on_every_mask():
+    canon = symmetry.canonical_table().tolist()
+    sizes = symmetry.orbit_size_table().tolist()
+    for mask in range(lattice.FULL_MASK + 1):
+        rec = symmetry.canonical_form(mask)
+        assert (rec.canonical, rec.orbit_size) == (canon[mask], sizes[mask]), mask
+        assert rec.orbit_size * rec.stabilizer_order == 1152
+
+
+def test_stabilizer_order_counts_the_fixing_elements():
+    # The stabilizer by definition: the elements g with act(g, m) == m.
+    grp = symmetry.group()
+    masks = [0, 1, 0x0033, 0x00FF, 0x0EEE, 0x1236, 0x8421, lattice.FULL_MASK]
+    masks += random.Random(7).sample(range(lattice.FULL_MASK + 1), 24)
+    for mask in masks:
+        fixing = sum(symmetry.act(g, mask) == mask for g in grp)
+        assert symmetry.canonical_form(mask).stabilizer_order == fixing, mask
 
 
 def test_canonical_invariant_on_orbit():
