@@ -188,8 +188,8 @@ def parse_subset(text: str) -> int:
         for j, r in enumerate(rows):
             beta = 3 - j
             for alpha, ch in enumerate(r):
-                if ch == "X":
-                    mask |= site_bit(alpha, beta)
+                if ch == "X":  # the shape check bounds alpha and beta to 0..3
+                    mask |= 1 << 4 * alpha + beta
                 elif ch != ".":
                     raise SubsetParseError(
                         f"bad character {ch!r} at row {beta}, column {alpha}"
@@ -200,7 +200,7 @@ def parse_subset(text: str) -> int:
         pair = _PAIR.fullmatch(chunk)
         if pair is None:
             raise SubsetParseError(f"bad pair {chunk!r}: need two digits 0-3")
-        bit = site_bit(int(pair[1]), int(pair[2]))
+        bit = 1 << 4 * int(pair[1]) + int(pair[2])  # _PAIR takes digits 0-3 only
         if mask & bit:
             raise SubsetParseError(f"duplicate pair {chunk!r}")
         mask |= bit

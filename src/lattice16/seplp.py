@@ -112,19 +112,20 @@ def _decompose_direct(mask: int) -> DecompositionCertificate | None:
 def decompose(mask: int) -> DecompositionCertificate | None:
     """Certificate for rho_I over the rank-4 basis, or None if the LP is
     infeasible over that basis.  The target is canonicalized first and
-    the certificate mapped back through the symmetry group."""
+    the canonical certificate's members carried to the target by the
+    symmetry that find_mapping picks, all read from images cached once
+    per orbit."""
     if not lattice.is_ppt(mask):
         raise ValueError("decomposition is only attempted for PPT subsets")
-    canon = symmetry.canonical_form(mask).canonical
+    canon = symmetry.canonical(mask)
     cert = _decompose_direct(canon)
     if cert is None:
         return None
     if canon == mask:
         return cert
-    g = symmetry.find_mapping(canon, mask)
+    members = symmetry.carry(canon, mask, tuple(cert.weights))
     return DecompositionCertificate(
-        target=mask,
-        weights={symmetry.act(g, j): w for j, w in cert.weights.items()},
+        target=mask, weights=dict(zip(members, cert.weights.values()))
     )
 
 

@@ -25,8 +25,10 @@ __all__ = [
     "generators",
     "group",
     "act",
+    "canonical",
     "canonical_form",
     "find_mapping",
+    "carry",
     "canonical_map_all",
     "canonical_table",
     "orbit_size_table",
@@ -157,6 +159,13 @@ def _orbit_images(mask: int) -> np.ndarray:
     return lo[mask & 0xFF] | hi[mask >> 8]
 
 
+def canonical(mask: int) -> int:
+    """The lexicographically minimal mask in the orbit of the mask:
+    canonical_form(mask).canonical without the stabilizer count."""
+    images = _orbit_images(mask)
+    return int(images[images.argmin()])  # argmin costs less than min's reduction
+
+
 def canonical_form(mask: int) -> OrbitRecord:
     """Lexicographically minimal mask in the orbit, with orbit and
     stabilizer sizes (their product is the group order).
@@ -174,13 +183,40 @@ def canonical_form(mask: int) -> OrbitRecord:
     )
 
 
-def find_mapping(source: int, target: int) -> SymmetryElement:
-    """The first element g of group() with act(g, source) == target."""
-    images = _orbit_images(source)
+def _first_mapping(images: np.ndarray, target: int) -> int:
+    """The index in group() of the first element that sends the source
+    of these images to the target; ValueError if none does."""
     first = int(np.argmax(images == target))
     if images[first] != target:
         raise ValueError("masks are not in the same orbit")
-    return _element(first)
+    return first
+
+
+def find_mapping(source: int, target: int) -> SymmetryElement:
+    """The first element g of group() with act(g, source) == target."""
+    return _element(_first_mapping(_orbit_images(source), target))
+
+
+@functools.cache  # seplp asks once per certified orbit: canonical mask, members
+def _carried_images(
+    source: int, members: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The source's images under every element of group(), and the
+    members' images with one row per element: shape (1152, len(members))."""
+    for member in members:
+        lattice._in_range(member)
+    lo, hi = _group_byte_tables()
+    m = np.array(members, dtype=np.intp)
+    return _orbit_images(source), (lo[m & 0xFF] | hi[m >> 8]).T.copy()
+
+
+def carry(source: int, target: int, members: tuple[int, ...]) -> list[int]:
+    """[act(find_mapping(source, target), m) for m in members]: the
+    members carried by the element that find_mapping picks, read from
+    images cached per (source, members); ValueError unless source and
+    target share an orbit."""
+    images, member_images = _carried_images(source, members)
+    return member_images[_first_mapping(images, target)].tolist()
 
 
 @functools.cache

@@ -226,6 +226,13 @@ def test_render_round_trip(mask, form):
     assert lattice.parse_subset(lattice.render_subset(mask, form)) == mask
 
 
+def test_render_round_trip_every_mask():
+    for mask in range(lattice.FULL_MASK + 1):
+        for form in ("grid", "hex", "pairs") if mask else ("grid", "hex"):
+            text = lattice.render_subset(mask, form)
+            assert lattice.parse_subset(text) == mask, (form, text)
+
+
 def test_render_table_and_unknown_form():
     table = lattice.render_subset(lattice.site_bit(0, 0), "table")
     assert "0 | X . . ." in table

@@ -180,6 +180,41 @@ def test_decompose_respects_orbit_mapping():
         assert seplp.verify_certificate(cert)
 
 
+def test_decompose_carries_every_certified_mask_like_act():
+    # The reference maps each canonical certificate member by member
+    # through find_mapping and act; decompose reads the carried members
+    # from cached images instead, and must print the same certificate.
+    checked = 0
+    for mask in np.flatnonzero(tables.ppt()).tolist():
+        canon = symmetry.canonical_form(mask).canonical
+        cert = seplp.decompose(canon)
+        if cert is None:
+            continue
+        g = symmetry.find_mapping(canon, mask)
+        reference = seplp.DecompositionCertificate(
+            target=mask,
+            weights={symmetry.act(g, j): w for j, w in cert.weights.items()},
+        )
+        assert seplp.decompose(mask).to_json() == reference.to_json(), f"0x{mask:04X}"
+        checked += 1
+    assert checked == 8735
+
+
+def test_decompose_of_a_non_canonical_mask_calls_no_act(monkeypatch, grids):
+    def refuse(*args):
+        raise AssertionError("decompose called the per-element symmetry path")
+
+    mask = grids["rho9"]
+    canon = symmetry.canonical_form(mask).canonical
+    assert canon != mask
+    expected = seplp.decompose(mask)
+    monkeypatch.setattr(symmetry, "act", refuse)
+    monkeypatch.setattr(symmetry, "find_mapping", refuse)
+    symmetry._carried_images.cache_clear()  # the cold path too
+    assert seplp.decompose(mask) == expected
+    assert seplp.decompose(mask) == expected
+
+
 def test_brute_force_agrees_with_simplex_small():
     # Complete cross-validation of the two feasibility routes on every
     # PPT subset with at most six sites.

@@ -145,6 +145,7 @@ def test_canonical_form_agrees_with_tables_on_every_mask():
         rec = symmetry.canonical_form(mask)
         assert (rec.canonical, rec.orbit_size) == (canon[mask], sizes[mask]), mask
         assert rec.orbit_size * rec.stabilizer_order == 1152
+        assert symmetry.canonical(mask) == canon[mask], mask
 
 
 def test_stabilizer_order_counts_the_fixing_elements():
@@ -173,6 +174,40 @@ def test_find_mapping():
     assert symmetry.act(h, mask) == target
     with pytest.raises(ValueError):
         symmetry.find_mapping(0x0001, 0x0003)
+
+
+def test_carry_equals_act_after_find_mapping():
+    # Large stabilizers (0x0F0F, 0x0033, the full and empty masks) leave
+    # many elements with g(source) == target: carry must pick the same
+    # one as find_mapping, the first in group order.
+    rng = random.Random(29)
+    grp = symmetry.group()
+    sources = [0x0F0F, 0x0033, 0x0EEE, 0x1236, 0x8421, 0, lattice.FULL_MASK]
+    sources += rng.sample(range(lattice.FULL_MASK + 1), 20)
+    for source in sources:
+        members = tuple(rng.sample(range(lattice.FULL_MASK + 1), rng.randrange(6)))
+        members += (source, 0x0F0F)
+        for _ in range(5):
+            target = symmetry.act(rng.choice(grp), source)
+            g = symmetry.find_mapping(source, target)
+            expected = [symmetry.act(g, m) for m in members]
+            assert symmetry.carry(source, target, members) == expected, (source, target)
+    assert symmetry.canonical_form(0x0F0F).stabilizer_order > 1
+    assert symmetry.canonical_form(0x0033).stabilizer_order > 1
+
+
+def test_carry_and_canonical_refuse_bad_masks():
+    with pytest.raises(ValueError, match="same orbit"):
+        symmetry.carry(0x0001, 0x0003, (0x0033,))
+    for source, target in ((-1, 0x0001), (lattice.FULL_MASK + 1, 0x0001),
+                           (0x0001, -1), (0x0001, lattice.FULL_MASK + 1)):
+        with pytest.raises(ValueError):
+            symmetry.carry(source, target, (0x0033,))
+    with pytest.raises(ValueError):
+        symmetry.carry(0x0001, 0x0002, (lattice.FULL_MASK + 1,))
+    for mask in (-1, lattice.FULL_MASK + 1):
+        with pytest.raises(ValueError):
+            symmetry.canonical(mask)
 
 
 def test_element_decodes_group_index():
