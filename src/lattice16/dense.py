@@ -184,8 +184,9 @@ def _witness_values() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _positive_counts() -> np.ndarray:
-    """(65536, 16) uint8 table |I & P+_mn|, row m for mask m: the
-    :func:`tables.mask_sums` of the + signs of :func:`_pt_signs`."""
+    """(65536, 16) uint8 table |I & P+_mn|, row m for mask m, stored
+    column-major: the :func:`tables.mask_sums` of the + signs of
+    :func:`_pt_signs`."""
     return tables.mask_sums(_pt_signs() > 0)
 
 
@@ -204,12 +205,17 @@ def oracle_sweep() -> dict:
     # Index i below is mask i + 1; pos[i, mn] is |I & P+_mn|.
     pos = _positive_counts()[1:]
     n = tables.cardinality()[1:]
-    # uint8 arithmetic wraps mod 256, but pos and n lie in 0..16, so
-    # pos == n - k holds mod 256 only if k == n - pos exactly.
+    # uint8 arithmetic wraps mod 256, but pos <= n <= 16 (pos counts
+    # sites of I), so pos + k == n holds mod 256 only if k == n - pos
+    # exactly.  The XOR is 0 exactly where it holds, so a mask's row
+    # maximum is 0 exactly when all 16 of its counts agree.
+    off = pos + tables.k_table()[1:]
+    off ^= n[:, None]  # in place: no second 1 MiB table to allocate
     checks = (
         ("ppt_sign", tables.ppt()[1:] != (2 * pos.min(axis=1) >= n)),
-        ("spectrum", (pos != n[:, None] - tables.k_table()[1:]).any(axis=1)),
+        ("spectrum", off.max(axis=1) != 0),
     )
+    del off  # 1 MiB, not kept through the witness pass
     disagreements = [
         (kind, int(i) + 1) for kind, bad in checks for i in np.flatnonzero(bad)
     ]

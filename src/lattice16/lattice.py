@@ -18,6 +18,7 @@ last mask it was asked about, and every call inside one classification
 from __future__ import annotations
 
 import functools
+import operator
 import re
 
 __all__ = [
@@ -84,8 +85,10 @@ def sites(mask: int) -> list[tuple[int, int]]:
 
 
 def _in_range(mask: int) -> int:
-    """The mask itself; ValueError unless 0 <= mask <= FULL_MASK."""
-    if not 0 <= mask <= FULL_MASK:
+    """The mask itself; TypeError unless it is an integer (``operator.index``
+    accepts numpy integers and refuses floats), ValueError unless
+    0 <= mask <= FULL_MASK."""
+    if not 0 <= operator.index(mask) <= FULL_MASK:
         raise ValueError(f"mask {mask!r} is outside 0..0x{FULL_MASK:04X}")
     return mask
 

@@ -131,7 +131,10 @@ def decompose(mask: int) -> DecompositionCertificate | None:
 
 def verify_certificate(cert: DecompositionCertificate) -> bool:
     """Exact check: convex weights over basis members whose mixture puts
-    weight 1/N on each P_s of the target and 0 elsewhere."""
+    weight 1/N on each P_s of the target and 0 elsewhere.  Weights must
+    be ints or Fractions (TypeError otherwise: float sums round)."""
+    if not all(isinstance(w, (int, Fraction)) for w in cert.weights.values()):
+        raise TypeError("certificate weights must be int or Fraction")
     n = lattice.cardinality(cert.target)
     if n == 0 or not cert.weights:
         return False

@@ -120,7 +120,7 @@ def group() -> list[SymmetryElement]:
 
 def act(g: SymmetryElement, mask: int) -> int:
     """The image of the mask under g; ValueError unless 0 <= mask <= FULL_MASK."""
-    # index(): numpy integers have no bit_length; floats stay refused.
+    # index(): numpy integers have no bit_length.
     mask = operator.index(lattice._in_range(mask))
     out = 0
     table = g.site_map()

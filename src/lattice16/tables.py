@@ -4,6 +4,12 @@ Index m of each array is the mask m, for all 2^16 masks including the
 empty one.  Each array is built once, on first use, and is read-only.
 N and k are :func:`mask_sums` of a 16-row weight table, one row per
 site; ``dense`` and ``symmetry`` build their byte tables the same way.
+A 2-D whole-space table such as k, of shape (65536, 16), is stored
+column-major: a mask's 16 entries lie 65,536 apart, so a reduction
+over them (the PPT test's ``max(axis=1)``, the sweep's ``min`` and
+count checks) is elementwise over whole contiguous columns rather than
+a short reduction per row.  The 256-row byte tables of
+:func:`byte_sums` stay row-major, one contiguous row per byte.
 The scalar functions of :mod:`lattice16.lattice` define the same
 quantities one mask at a time; they stay the public API and the
 reference these tables are tested against.
@@ -46,9 +52,19 @@ def byte_sums(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def mask_sums(weights: np.ndarray) -> np.ndarray:
     """The sum of weights[s] over the sites s of every mask: row m for
-    mask m, the outer sum of the two byte tables of :func:`byte_sums`."""
+    mask m, the outer sum of the two byte tables of :func:`byte_sums`.
+
+    A 2-D result of shape (65536, c) is stored column-major: column j
+    is one contiguous run of 65,536 entries, and the entries of one mask
+    lie 65,536 apart.  So a reduction over a mask's entries
+    (``max(axis=1)``, ``any(axis=1)``) runs elementwise over whole
+    contiguous columns.  A 1-D weight table gives a 1-D result."""
     lo, hi = byte_sums(weights)
-    return (hi[:, None] + lo[None]).reshape(-1, *lo.shape[1:])
+    # Outer-sum contiguous (c, 256) transposes: numpy lays a result out
+    # in its inputs' memory order, so bare transposes give a row-major
+    # table again.
+    lo, hi = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
+    return (hi[..., :, None] + lo[..., None, :]).reshape(*lo.shape[:-1], -1).T
 
 
 @functools.cache
@@ -65,7 +81,7 @@ def cardinality() -> np.ndarray:
 
 @functools.cache
 def k_table() -> np.ndarray:
-    """The k-matrix of every mask (uint8, shape (65536, 16)).
+    """The k-matrix of every mask (uint8, shape (65536, 16), column-major).
 
     Column 4*mu + nu is k[mu][nu]: the cross count through the shifted
     site (mu+2, nu+2), as in :func:`lattice.k_matrix`.

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diag_states import diag_state_is_ppt, validate_probability_table
-from lattice16 import lattice
+from lattice16 import classifier, lattice, symmetry
 
 random.seed(7)
 
@@ -246,3 +247,20 @@ def test_render_rejects_masks_out_of_range(form):
     for mask in (-1, lattice.FULL_MASK + 1, 0x10001):
         with pytest.raises(ValueError, match="outside"):
             lattice.render_subset(mask, form)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lattice.cardinality,
+        lattice.is_ppt,
+        lambda mask: classifier.classify(mask).to_json(),
+        lambda mask: lattice.render_subset(mask, "hex"),
+        symmetry.canonical,
+    ],
+    ids=["cardinality", "is_ppt", "classify", "render_hex", "canonical"],
+)
+def test_float_mask_is_a_type_error(entry):
+    with pytest.raises(TypeError):
+        entry(3.0)
+    assert entry(np.uint16(3)) == entry(3)

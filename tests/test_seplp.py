@@ -138,6 +138,18 @@ def test_verify_rejects_tampered_certificates(grids):
     )
 
 
+def test_verify_refuses_float_weights():
+    # Each site of 0x00FF gets 0.1 + 0.2 + 0.2 and the total reads 1.0 in
+    # floats, but the exact sum of these doubles is 1 + 2^-54.
+    floats = {0x0033: 0.1, 0x00CC: 0.1, 0x0055: 0.2, 0x00AA: 0.2,
+              0x0099: 0.2, 0x0066: 0.2}
+    assert sum(map(Fraction, floats.values())) == 1 + Fraction(1, 2**54)
+    with pytest.raises(TypeError):
+        seplp.verify_certificate(seplp.DecompositionCertificate(0x00FF, floats))
+    exact = {m: Fraction(w).limit_denominator(10) for m, w in floats.items()}
+    assert seplp.verify_certificate(seplp.DecompositionCertificate(0x00FF, exact))
+
+
 def test_census_certificates_reconstruct_their_states():
     # verify_certificate checks the per-site identities only, which is a
     # proof because the P_s are orthonormal.  Here every LP certificate

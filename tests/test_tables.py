@@ -4,7 +4,7 @@ against the group action itself."""
 
 import numpy as np
 
-from lattice16 import lattice, symmetry, tables
+from lattice16 import dense, lattice, symmetry, tables
 
 ALL = lattice.FULL_MASK + 1
 
@@ -39,6 +39,20 @@ def test_tables_are_read_only():
                   tables.ppt(), symmetry.canonical_table(),
                   symmetry.orbit_size_table(), tables.CROSS):
         assert not table.flags.writeable
+
+
+def test_whole_space_tables_are_column_major():
+    # A mask's entries lie 65,536 apart, so reductions over them run
+    # elementwise over contiguous columns; the byte tables keep one
+    # contiguous row per byte, which symmetry reads one mask at a time.
+    weights = np.random.default_rng(16).integers(0, 16, (16, 3)).astype(np.uint8)
+    for table in (tables.k_table(), dense._positive_counts(),
+                  tables.mask_sums(weights)):
+        assert table.shape[0] == ALL and table.flags.f_contiguous
+    card = tables.cardinality()
+    assert card.shape == (ALL,) and card.flags.c_contiguous
+    for table in (*tables.byte_sums(tables.CROSS), *symmetry._group_byte_tables()):
+        assert table.flags.c_contiguous
 
 
 def _image(site_map: tuple[int, ...], masks: np.ndarray) -> np.ndarray:
