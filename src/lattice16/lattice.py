@@ -5,14 +5,16 @@ A subset I of the 16 sites is a 16-bit mask with the bit for site
 rows by beta.  Grid strings list rows top-down from beta=3 to beta=0,
 matching the orientation used throughout the accompanying figures.
 
-Column alpha is the nibble ``mask >> 4*alpha & 0xF`` and row beta the
-bits ``mask & 0x1111 << beta``, so every count is an ``int.bit_count()``:
-the 16 cross counts behind ``k_matrix``, ``kappa``, ``is_ppt`` and
-``prop1b_entangled`` come from 4 column and 4 row popcounts per mask.
-They are computed once per classification: ``_cross_counts`` keeps the
-last mask it was asked about, and every call inside one classification
-(the PPT test, the witness scan, the LP's PPT guard, the census's
-``kappa``) asks about that same mask.
+The cross through site p = 4*alpha + beta is column alpha and row beta
+without p itself.  ``_CROSS[p]`` is its bitmask, the only definition of
+the cross: every cross count is ``(mask & _CROSS[p]).bit_count()``, the
+whole-space incidence ``tables.CROSS`` takes its bits, and the k=1
+witness scan reads its one contributor from it.  The 16 cross counts
+behind ``k_matrix``, ``kappa``, ``is_ppt`` and ``prop1b_entangled`` are
+computed once per classification: ``_cross_counts`` keeps the last mask
+it was asked about, and every call inside one classification (the PPT
+test, the witness scan, the LP's PPT guard, the census's ``kappa``)
+asks about that same mask.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ __all__ = [
     "sites",
     "cardinality",
     "state_cardinality",
-    "column_counts",
-    "row_counts",
     "cross_count",
     "k_matrix",
     "kappa",
@@ -62,13 +62,16 @@ class ConsistencyError(AssertionError):
 _HEX_MASK = re.compile(r"0[xX][0-9a-fA-F]{1,4}")
 # One pair: two single ASCII digits 0-3, whitespace allowed around each.
 _PAIR = re.compile(r"\s*([0-3])\s*,\s*([0-3])\s*")
-# The bits of row beta=0 (one per column); row beta is _ROW << beta.
-_ROW = 0x1111
+# _CROSS[p]: the sites of column p >> 2 XOR those of row p & 3, the two
+# sharing only p itself, so the cross through p with p excluded.
+_CROSS = tuple(0xF << (p & 12) ^ 0x1111 << (p & 3) for p in range(16))
 
 
 def site_index(alpha: int, beta: int) -> int:
-    """The bit position 4*alpha + beta of site (alpha, beta); ValueError
-    unless both coordinates are in 0..3."""
+    """The bit position 4*alpha + beta of site (alpha, beta); TypeError
+    unless both coordinates are integers, ValueError unless both are in
+    0..3."""
+    alpha, beta = operator.index(alpha), operator.index(beta)
     if not (0 <= alpha <= 3 and 0 <= beta <= 3):
         raise ValueError(f"site {(alpha, beta)!r} is outside 0..3 x 0..3")
     return 4 * alpha + beta
@@ -80,15 +83,16 @@ def site_bit(alpha: int, beta: int) -> int:
 
 def sites(mask: int) -> list[tuple[int, int]]:
     """Sites of the subset, ordered by bit position."""
-    _in_range(mask)
+    mask = _in_range(mask)
     return [(a, b) for a in range(4) for b in range(4) if mask >> (4 * a + b) & 1]
 
 
 def _in_range(mask: int) -> int:
-    """The mask itself; TypeError unless it is an integer (``operator.index``
-    accepts numpy integers and refuses floats), ValueError unless
-    0 <= mask <= FULL_MASK."""
-    if not 0 <= operator.index(mask) <= FULL_MASK:
+    """The mask as a plain int; TypeError unless it is an integer
+    (``operator.index`` accepts numpy integers and refuses floats),
+    ValueError unless 0 <= mask <= FULL_MASK."""
+    mask = operator.index(mask)
+    if not 0 <= mask <= FULL_MASK:
         raise ValueError(f"mask {mask!r} is outside 0..0x{FULL_MASK:04X}")
     return mask
 
@@ -107,50 +111,33 @@ def state_cardinality(mask: int) -> int:
     return n
 
 
-def column_counts(mask: int) -> list[int]:
-    _in_range(mask)
-    return [(mask >> 4 * a & 0xF).bit_count() for a in range(4)]
-
-
-def row_counts(mask: int) -> list[int]:
-    _in_range(mask)
-    return [(mask & _ROW << b).bit_count() for b in range(4)]
-
-
 def cross_count(mask: int, alpha: int, beta: int) -> int:
     """Points of I on the column/row cross through (alpha, beta),
     excluding (alpha, beta) itself."""
-    _in_range(mask)
-    pos = site_index(alpha, beta)
-    col = (mask >> 4 * alpha & 0xF).bit_count()
-    row = (mask & _ROW << beta).bit_count()
-    return col + row - 2 * (mask >> pos & 1)
+    return (_in_range(mask) & _CROSS[site_index(alpha, beta)]).bit_count()
 
 
 # One entry: the calls of one classification all ask about the same
-# mask in a row, so a last-mask memo serves them in O(1) memory.  Typed,
-# so that a numpy integer equal to the last mask gets its own entry and
-# never hands its numpy-typed counts to an int caller.
-@functools.lru_cache(maxsize=1, typed=True)
+# mask in a row, so a last-mask memo serves them in O(1) memory.  A
+# float equal to a cached numpy mask would hit its entry, so the public
+# callers pass their mask through a gate that refuses floats first.
+@functools.lru_cache(maxsize=1)
 def _cross_counts(mask: int) -> tuple[int, ...]:
-    """cross_count(mask, a, b) for all 16 sites, in bit-position order
-    4a+b, from the 4 column and 4 row popcounts."""
-    cols, rows = column_counts(mask), row_counts(mask)
-    return tuple(
-        [cols[pos >> 2] + rows[pos & 3] - 2 * (mask >> pos & 1) for pos in range(16)]
-    )
+    """cross_count(mask, a, b) for all 16 sites, in bit-position order 4a+b."""
+    mask = _in_range(mask)
+    return tuple([(mask & cross).bit_count() for cross in _CROSS])
 
 
 def k_matrix(mask: int) -> list[list[int]]:
     """The 4x4 integer table k[mu][nu] driving the partial-transpose
     spectrum: the cross count through the shifted site (mu+2, nu+2)."""
-    cross = _cross_counts(mask)
+    cross = _cross_counts(_in_range(mask))
     return [[cross[4 * (mu ^ 2) + (nu ^ 2)] for nu in range(4)] for mu in range(4)]
 
 
 def kappa(mask: int) -> int:
     """Minimum entry of the k-matrix (a permutation of the cross counts)."""
-    return min(_cross_counts(mask))
+    return min(_cross_counts(_in_range(mask)))
 
 
 def is_ppt(mask: int) -> bool:
@@ -173,7 +160,9 @@ def prop1b_entangled(mask: int) -> tuple[int, int] | None:
 def parse_subset(text: str) -> int:
     """Parse a subset from grid form "r3/r2/r1/r0" (rows beta=3 first,
     'X' marks a site), pair-list form "a,b;a,b;..." (each coordinate one
-    ASCII digit 0-3), or hex "0xNNNN"."""
+    ASCII digit 0-3), or hex "0xNNNN"; TypeError unless it is a str."""
+    if not isinstance(text, str):
+        raise TypeError(f"subset description must be str, not {type(text).__name__}")
     text = text.strip()
     if not text:
         raise SubsetParseError("empty subset description")
@@ -213,7 +202,7 @@ def parse_subset(text: str) -> int:
 def render_subset(mask: int, form: str = "grid") -> str:
     """Render a subset as "grid", "pairs", "hex" or a labeled "table";
     ValueError unless 0 <= mask <= FULL_MASK."""
-    _in_range(mask)
+    mask = _in_range(mask)
     if form == "hex":
         return f"0x{mask:04X}"
     if form == "pairs":

@@ -11,7 +11,6 @@ check that it is the closure of the generators.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -120,8 +119,7 @@ def group() -> list[SymmetryElement]:
 
 def act(g: SymmetryElement, mask: int) -> int:
     """The image of the mask under g; ValueError unless 0 <= mask <= FULL_MASK."""
-    # index(): numpy integers have no bit_length.
-    mask = operator.index(lattice._in_range(mask))
+    mask = lattice._in_range(mask)
     out = 0
     table = g.site_map()
     while mask:
@@ -154,7 +152,7 @@ def _group_byte_tables() -> tuple[np.ndarray, np.ndarray]:
 def _orbit_images(mask: int) -> np.ndarray:
     """The image of the mask under every element of group(), in order;
     ValueError unless 0 <= mask <= FULL_MASK."""
-    lattice._in_range(mask)
+    mask = lattice._in_range(mask)
     lo, hi = _group_byte_tables()
     return lo[mask & 0xFF] | hi[mask >> 8]
 
@@ -203,10 +201,8 @@ def _carried_images(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The source's images under every element of group(), and the
     members' images with one row per element: shape (1152, len(members))."""
-    for member in members:
-        lattice._in_range(member)
     lo, hi = _group_byte_tables()
-    m = np.array(members, dtype=np.intp)
+    m = np.array([lattice._in_range(member) for member in members], dtype=np.intp)
     return _orbit_images(source), (lo[m & 0xFF] | hi[m >> 8]).T.copy()
 
 

@@ -31,9 +31,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-_A, _B = np.divmod(np.arange(16), 4)
-# CROSS[s, 4*mu + nu] = 1: site s is on the cross through (mu+2, nu+2), center excluded.
-CROSS = _frozen(((_A[:, None] == _A ^ 2) != (_B[:, None] == _B ^ 2)).astype(np.uint8))
+# CROSS[s, 4*mu + nu] = 1: site s is on lattice._CROSS through the
+# shifted site (mu+2, nu+2), indexed as lattice.k_matrix indexes it.
+CROSS = _frozen(np.array(
+    [[lattice._CROSS[4 * (mu ^ 2) + (nu ^ 2)] >> s & 1
+      for mu in range(4) for nu in range(4)] for s in range(16)],
+    dtype=np.uint8,
+))
 
 
 def byte_sums(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

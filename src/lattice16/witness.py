@@ -83,40 +83,37 @@ def witness_scan(mask: int) -> list[WitnessReport]:
     contributor, so that 2N times the value is k - 2 absorbed = -1;
     ConsistencyError otherwise.  Empty when no k-matrix entry equals 1.
     """
+    mask = lattice._in_range(mask)
     if not lattice.is_ppt(mask):
         raise ValueError("witness scan is only defined for PPT subsets")
-    # The k-matrix is a permutation of the cross counts, so this is exact.
-    if 1 not in lattice._cross_counts(mask):
+    cross = lattice._cross_counts(mask)
+    if 1 not in cross:
         return []
-    in_mask = lattice.sites(mask)
-    n = len(in_mask)
-    k = lattice.k_matrix(mask)
+    n = mask.bit_count()
     reports = []
     for mu in range(4):
         for nu in range(4):
-            if k[mu][nu] != 1:
+            pos = 4 * (mu ^ 2) + (nu ^ 2)  # the cross center (mu+2, nu+2)
+            k = cross[pos]  # k[mu][nu], as in lattice.k_matrix
+            if k != 1:
                 continue
-            a2, b2 = mu ^ 2, nu ^ 2
-            points = [(a, b) for a, b in in_mask if (a == a2) != (b == b2)]
-            if len(points) != 1:
-                raise ConsistencyError(
-                    f"k=1 at {(mu, nu)} but {len(points)} contributors on its cross"
-                )
-            x, y = canonical_slot(points[0], (a2, b2))
+            # The one point of I on the cross is its only set bit.
+            point = divmod((mask & lattice._CROSS[pos]).bit_length() - 1, 4)
+            x, y = canonical_slot(point, (mu ^ 2, nu ^ 2))
             if (x == 2) == (y == 2):
                 raise ConsistencyError(f"sigma_{x}{y} is not an admissible V")
             absorbed = mask >> (4 * (mu ^ x) + (nu ^ y)) & 1
-            if k[mu][nu] - 2 * absorbed != -1:
+            if k - 2 * absorbed != -1:
                 raise ConsistencyError(
                     f"sigma_{x}{y} at {(mu, nu)}: 2N * value = "
-                    f"{k[mu][nu] - 2 * absorbed}, not -1"
+                    f"{k - 2 * absorbed}, not -1"
                 )
             reports.append(
                 WitnessReport(
                     site=(mu, nu),
-                    center=(a2, b2),
-                    center_in_subset=bool(mask >> (4 * a2 + b2) & 1),
-                    contributing_site=points[0],
+                    center=(mu ^ 2, nu ^ 2),
+                    center_in_subset=bool(mask >> pos & 1),
+                    contributing_site=point,
                     v_label=f"sigma_{x}{y}",
                     value=-1.0 / (2 * n),
                 )

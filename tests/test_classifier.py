@@ -220,32 +220,35 @@ def test_classify_every_mask_golden():
 def test_cross_counts_computed_once_per_classification(grids, monkeypatch):
     # The PPT test, the witness scan and the LP's PPT guard all read the
     # cross counts of one mask; the last-mask memo computes them once.
-    column_counts, sites = lattice.column_counts, lattice.sites
-    calls = {"column_counts": 0, "sites": 0}
-
-    def counting(name, fn):
-        def wrapper(mask):
-            calls[name] += 1
-            return fn(mask)
-
-        return wrapper
-
-    monkeypatch.setattr(lattice, "column_counts", counting("column_counts", column_counts))
-    monkeypatch.setattr(lattice, "sites", counting("sites", sites))
     rho9 = grids["rho9"]  # separable by the LP, no k=1 entry
     for mask, justification in (
         (rho9, Justification.LP_CERTIFICATE),
         (0x0003, Justification.PROP1A_VIOLATION),
+        (grids["ex1_right_n10"], Justification.PROP3_WITNESS),
     ):
         lattice._cross_counts.cache_clear()
-        calls["column_counts"] = 0
         assert classifier.classify(mask).justification is justification
-        assert calls["column_counts"] == 1, hex(mask)
-    # With no k=1 entry the scan returns before listing the sites.
+        assert lattice._cross_counts.cache_info().misses == 1, hex(mask)
+    # The scan reads each k=1 contributor off the cross's bitmask, so it
+    # never lists the sites, with or without a k=1 entry.
+    sites = lattice.sites
+    calls = []
+    monkeypatch.setattr(lattice, "sites", lambda m: calls.append(m) or sites(m))
     assert 1 not in lattice._cross_counts(rho9)
-    calls["sites"] = 0
     assert witness.witness_scan(rho9) == []
-    assert calls["sites"] == 0
+    assert 1 in lattice._cross_counts(grids["ex1_right_n10"])
+    assert witness.witness_scan(grids["ex1_right_n10"])
+    assert calls == []
+    # The memo's entries are plain ints whichever integer type filled it.
+    for first, second in ((np.uint16(0x0F0F), 0x0F0F), (0x0F0F, np.uint16(0x0F0F))):
+        lattice._cross_counts.cache_clear()
+        lattice._cross_counts(first)
+        assert {type(c) for c in lattice._cross_counts(second)} == {int}
+    # A float equal to a cached numpy mask is refused before the memo.
+    lattice.kappa(np.uint16(3))
+    for entry in (lattice.kappa, lattice.k_matrix):
+        with pytest.raises(TypeError):
+            entry(3.0)
 
 
 def test_classification_from_json_round_trip(grids, full_census):
@@ -276,8 +279,6 @@ def test_masks_outside_16_bits_are_rejected():
             lattice.cardinality,
             lattice.state_cardinality,
             lattice.sites,
-            lattice.column_counts,
-            lattice.row_counts,
             lambda m: lattice.cross_count(m, 1, 2),
             lattice.k_matrix,
             lattice.kappa,
@@ -291,12 +292,18 @@ def test_masks_outside_16_bits_are_rejected():
             with pytest.raises(ValueError, match="outside 0..0xFFFF"):
                 check(mask)
     # Likewise coordinates outside 0..3 name no site: site_bit(4, 0) would
-    # be bit 16 and cross_count(m, -1, 0) a negative shift.
-    for site in ((4, 0), (0, 4), (-1, 0), (0, -1)):
+    # be bit 16 and cross_count(m, -1, 0) a negative shift.  Nor do
+    # non-integers: site_index(1.5, 2) would be the bit position 8.0.
+    outside = (ValueError, "outside 0..3")
+    not_int = (TypeError, "cannot be interpreted as an integer")
+    for site, (error, match) in (
+        ((4, 0), outside), ((0, 4), outside), ((-1, 0), outside),
+        ((0, -1), outside), ((1.5, 2), not_int), ((1, 2.0), not_int),
+    ):
         for check in (
             lattice.site_index,
             lattice.site_bit,
             lambda a, b: lattice.cross_count(lattice.FULL_MASK, a, b),
         ):
-            with pytest.raises(ValueError, match="outside 0..3"):
+            with pytest.raises(error, match=match):
                 check(*site)

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diag_states import diag_state_is_ppt, validate_probability_table
-from lattice16 import classifier, lattice, symmetry
+from lattice16 import classifier, lattice, symmetry, tables
 
 random.seed(7)
 
@@ -26,12 +26,6 @@ def test_sites_and_cardinality():
     assert lattice.cardinality(lattice.FULL_MASK) == 16
 
 
-def test_counts():
-    mask = lattice.parse_subset("X.../XX../X.X./....")
-    assert lattice.column_counts(mask) == [3, 1, 1, 0]
-    assert lattice.row_counts(mask) == [0, 2, 2, 1]
-
-
 def test_cross_count_brute_force():
     for _ in range(300):
         mask = random.randrange(1, lattice.FULL_MASK + 1)
@@ -41,6 +35,13 @@ def test_cross_count_brute_force():
                     mask >> (4 * a + d) & 1 for d in range(4) if d != b
                 ) + sum(mask >> (4 * g + b) & 1 for g in range(4) if g != a)
                 assert lattice.cross_count(mask, a, b) == expected
+    # Column 4*mu + nu of the whole-space incidence is the cross through
+    # (mu+2, nu+2): a site s = (a, b) shares its column or its row, not both.
+    for mu in range(4):
+        for nu in range(4):
+            a2, b2 = mu ^ 2, nu ^ 2
+            expected = [int((s >> 2 == a2) != (s & 3 == b2)) for s in range(16)]
+            assert tables.CROSS[:, 4 * mu + nu].tolist() == expected, (mu, nu)
 
 
 def test_k_matrix_is_shifted_cross():
@@ -182,6 +183,9 @@ def test_parse_errors():
                 "4,0", "0,0;0,0", "1;2", "a,b"):
         with pytest.raises(lattice.SubsetParseError):
             lattice.parse_subset(bad)
+    for not_text in (3, None, b"0x1"):
+        with pytest.raises(TypeError, match="must be str"):
+            lattice.parse_subset(not_text)
 
 
 def test_parse_hex_needs_one_to_four_digits():

@@ -39,8 +39,8 @@ def test_basis_shapes():
     # row) or a 2x2 combinatorial block.
     bijection = block = 0
     for m in seplp.build_basis():
-        cols = lattice.column_counts(m)
-        rows = lattice.row_counts(m)
+        cols = [sum(a == c for a, _ in lattice.sites(m)) for c in range(4)]
+        rows = [sum(b == r for _, b in lattice.sites(m)) for r in range(4)]
         if cols == [1, 1, 1, 1] and rows == [1, 1, 1, 1]:
             bijection += 1
         else:

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,17 @@ def test_positivity_proof_steps_exact():
             assert np.vdot(b, w) == 0
 
 
+def _only_point_on_cross(mask, report):
+    """Whether the report's contributor is in I and is the one site of I
+    on its center's cross, by listing the cross site by site."""
+    a2, b2 = report.center
+    on_cross = [
+        (a, b) for a in range(4) for b in range(4)
+        if mask >> (4 * a + b) & 1 and (a == a2) != (b == b2)
+    ]
+    return on_cross == [report.contributing_site]
+
+
 def test_witness_scan_examples(grids):
     for name, n in (("ex1_right_n10", 10), ("ex2_right_n10", 10),
                     ("ex3_right_n11", 11)):
@@ -129,6 +142,16 @@ def test_witness_scan_examples(grids):
             assert r.center == (r.site[0] ^ 2, r.site[1] ^ 2)
             slot = witness.canonical_slot(r.contributing_site, r.center)
             assert r.v_label == "sigma_{}{}".format(*slot)
+            assert _only_point_on_cross(grids[name], r), (name, r)
+    ppt = [m for m in range(1, lattice.FULL_MASK + 1) if lattice.is_ppt(m)]
+    sample = random.Random(26).sample(ppt, 500)
+    witnessed = 0
+    for mask in sample:
+        reports = witness.witness_scan(mask)
+        witnessed += bool(reports)
+        for r in reports:
+            assert _only_point_on_cross(mask, r), (hex(mask), r)
+    assert witnessed  # the sample exercises the contributor
 
 
 def test_witness_scan_empty_for_separable(grids):
