@@ -9,7 +9,7 @@ from enum import Enum
 import numpy as np
 
 from . import lattice, seplp, symmetry, tables, witness
-from .lattice import ConsistencyError
+from .lattice import ConsistencyError, UsageError
 
 __all__ = [
     "Label",
@@ -42,6 +42,16 @@ class Justification(str, Enum):
     NONE = "NONE"
 
 
+_LABEL_OF = {  # each justification implies exactly one label
+    Justification.PROP1A_VIOLATION: Label.NPT_ENTANGLED,
+    Justification.PROP3_WITNESS: Label.PPT_ENTANGLED,
+    Justification.LP_CERTIFICATE: Label.SEPARABLE,
+    Justification.MAXIMALLY_MIXED: Label.SEPARABLE,
+    Justification.ISOTROPIC_N15: Label.SEPARABLE,
+    Justification.NONE: Label.UNKNOWN,
+}
+
+
 @dataclass(frozen=True)
 class Classification:
     label: Label
@@ -58,12 +68,16 @@ class Classification:
     @classmethod
     def from_json(cls, payload: dict) -> Classification:
         """The inverse of :meth:`to_json`; ValueError on an unknown label
-        or justification.  The evidence is taken as it is, unchecked."""
-        return cls(
-            label=Label(payload["label"]),
-            justification=Justification(payload["justification"]),
-            evidence=payload["evidence"],
-        )
+        or justification, or a label the justification does not imply.
+        The evidence is taken as it is, unchecked."""
+        label = Label(payload["label"])
+        justification = Justification(payload["justification"])
+        implied = _LABEL_OF[justification]
+        if label is not implied:
+            raise ValueError(
+                f"{justification.value} implies {implied.value}, not {label.value}"
+            )
+        return cls(label, justification, payload["evidence"])
 
 
 @dataclass(frozen=True)
@@ -159,7 +173,7 @@ def census(min_n: int = 1, max_n: int = 16) -> list[CensusRecord]:
     """Classify one representative per symmetry orbit, deterministically
     ordered by (cardinality, canonical mask), for min_n <= N <= max_n."""
     if not 1 <= min_n <= max_n <= 16:
-        raise ValueError(f"census range {min_n}..{max_n}: need 1 <= min <= max <= 16")
+        raise UsageError(f"census range {min_n}..{max_n}: need 1 <= min <= max <= 16")
     n = tables.cardinality()
     chosen = np.flatnonzero(
         (symmetry.canonical_table() == tables.masks()) & (n >= min_n) & (n <= max_n)

@@ -10,14 +10,6 @@ from . import classifier as classify_mod
 from . import dense, lattice, seplp, symmetry, witness
 
 
-def _parse_subset_or_exit(text: str) -> int:
-    try:
-        return lattice.parse_subset(text)
-    except lattice.SubsetParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-
-
 def _write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w") as fh:
@@ -31,7 +23,7 @@ def _emit(payload, args) -> None:
 
 
 def cmd_classify(args) -> int:
-    mask = _parse_subset_or_exit(args.subset)
+    mask = lattice.parse_subset(args.subset)
     if args.format == "ascii":
         _write(classify_mod.explain(mask), args)
     else:
@@ -40,11 +32,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_census(args) -> int:
-    try:
-        records = classify_mod.census(min_n=args.min, max_n=args.max)
-    except ValueError as exc:  # the range; lattice16's own faults are ConsistencyError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records = classify_mod.census(min_n=args.min, max_n=args.max)
     jsonl = classify_mod.census_to_jsonl(records)
     if args.out:
         with open(args.out, "w") as fh:
@@ -60,26 +48,20 @@ def cmd_census(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    mask = _parse_subset_or_exit(args.subset)
+    mask = lattice.parse_subset(args.subset)
     _emit(symmetry.canonical_form(mask).to_json(), args)
     return 0
 
 
 def cmd_witness(args) -> int:
-    mask = _parse_subset_or_exit(args.subset)
-    if not lattice.is_ppt(mask):
-        print("error: subset is NPT; witness scan needs a PPT subset", file=sys.stderr)
-        return 2
+    mask = lattice.parse_subset(args.subset)
     reports = witness.witness_scan(mask)
     _emit([r.to_json() for r in reports], args)
     return 0
 
 
 def cmd_decompose(args) -> int:
-    mask = _parse_subset_or_exit(args.subset)
-    if not lattice.is_ppt(mask):
-        print("error: subset is NPT; no decomposition attempted", file=sys.stderr)
-        return 2
+    mask = lattice.parse_subset(args.subset)
     cert = seplp.decompose(mask)
     if cert is None:
         _emit({"target": f"0x{mask:04X}", "decomposition": None}, args)
@@ -93,7 +75,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_ptspectrum(args) -> int:
-    mask = _parse_subset_or_exit(args.subset)
+    mask = lattice.parse_subset(args.subset)
     spectrum = dense.pt_spectrum(mask)
     analytic = dense.analytic_pt_spectrum(mask)
     _emit(
@@ -110,7 +92,7 @@ def cmd_ptspectrum(args) -> int:
 
 
 def cmd_render(args) -> int:
-    mask = _parse_subset_or_exit(args.subset)
+    mask = lattice.parse_subset(args.subset)
     _write(lattice.render_subset(mask, args.form), args)
     return 0
 
@@ -218,12 +200,12 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
-    if args.format == "ascii" and args.command in JSON_ONLY:
-        print(f"error: {args.command} has no ascii form (--format json)", file=sys.stderr)
-        return 2
     try:
+        if args.format == "ascii" and args.command in JSON_ONLY:
+            raise lattice.UsageError(f"{args.command} has no ascii form (--format json)")
         return args.func(args)
-    except lattice.EmptySubsetError as exc:
+    # A bad request, or an --out file that cannot be opened (OSError).
+    except (lattice.UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except classify_mod.ConsistencyError as exc:

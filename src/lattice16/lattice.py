@@ -25,6 +25,7 @@ import re
 
 __all__ = [
     "FULL_MASK",
+    "UsageError",
     "EmptySubsetError",
     "SubsetParseError",
     "ConsistencyError",
@@ -45,12 +46,18 @@ __all__ = [
 FULL_MASK = 0xFFFF
 
 
-class EmptySubsetError(ValueError):
+class UsageError(ValueError):
+    """A request that a command line can make, outside an operation's
+    domain: a malformed or empty subset, an NPT subset where a PPT one
+    is needed, an empty census range.  The CLI exits 2 on it."""
+
+
+class EmptySubsetError(UsageError):
     """Raised where an operation needs a nonempty subset (no state is
     defined for the empty one)."""
 
 
-class SubsetParseError(ValueError):
+class SubsetParseError(UsageError):
     """Malformed textual subset description."""
 
 
@@ -150,7 +157,7 @@ def prop1b_entangled(mask: int) -> tuple[int, int] | None:
     """A site (alpha, beta) outside I whose cross meets I in exactly one
     point, if any; such a site certifies entanglement of a PPT state."""
     if not is_ppt(mask):
-        raise ValueError("prop1b test is only meaningful for PPT subsets")
+        raise UsageError("subset is NPT; prop1b test needs a PPT subset")
     for pos, cross in enumerate(_cross_counts(mask)):
         if cross == 1 and not mask >> pos & 1:
             return divmod(pos, 4)

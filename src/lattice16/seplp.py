@@ -116,7 +116,7 @@ def decompose(mask: int) -> DecompositionCertificate | None:
     symmetry that find_mapping picks, all read from images cached once
     per orbit."""
     if not lattice.is_ppt(mask):
-        raise ValueError("decomposition is only attempted for PPT subsets")
+        raise lattice.UsageError("subset is NPT; no decomposition attempted")
     canon = symmetry.canonical(mask)
     cert = _decompose_direct(canon)
     if cert is None:

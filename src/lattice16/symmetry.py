@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -98,23 +98,15 @@ def generators() -> list[SymmetryElement]:
 _PERMS = tuple(permutations(range(4)))
 
 
-@functools.cache  # find_mapping returns the same object for the same index
-def _element(i: int) -> SymmetryElement:
-    """group()[i], decoded from the index: group() lists swap_axes
-    (False, True), then col_perm, then row_perm, each permutation in
-    itertools.permutations order, so i = 576 swap + 24 col + row."""
-    swap, rest = divmod(i, len(_PERMS) ** 2)
-    col, row = divmod(rest, len(_PERMS))
-    return SymmetryElement(_PERMS[col], _PERMS[row], bool(swap))
-
-
 @functools.cache
 def group() -> list[SymmetryElement]:
     """Every column permutation times every row permutation, with and
     without the axis swap: (S4 x S4) x| Z2, order 1152, sorted by
-    (swap_axes, col_perm, row_perm).  The tests derive it as the closure
+    (swap_axes, col_perm, row_perm), each permutation in
+    itertools.permutations order.  The tests derive it as the closure
     of generators()."""
-    return [_element(i) for i in range(2 * len(_PERMS) ** 2)]
+    order = product((False, True), _PERMS, _PERMS)
+    return [SymmetryElement(col, row, swap) for swap, col, row in order]
 
 
 def act(g: SymmetryElement, mask: int) -> int:
@@ -192,7 +184,7 @@ def _first_mapping(images: np.ndarray, target: int) -> int:
 
 def find_mapping(source: int, target: int) -> SymmetryElement:
     """The first element g of group() with act(g, source) == target."""
-    return _element(_first_mapping(_orbit_images(source), target))
+    return group()[_first_mapping(_orbit_images(source), target)]
 
 
 @functools.cache  # seplp asks once per certified orbit: canonical mask, members

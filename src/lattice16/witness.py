@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lattice
-from .lattice import ConsistencyError
+from .lattice import ConsistencyError, UsageError
 
 __all__ = ["WitnessReport", "canonical_slot", "witness_scan"]
 
@@ -85,7 +85,7 @@ def witness_scan(mask: int) -> list[WitnessReport]:
     """
     mask = lattice._in_range(mask)
     if not lattice.is_ppt(mask):
-        raise ValueError("witness scan is only defined for PPT subsets")
+        raise UsageError("subset is NPT; witness scan needs a PPT subset")
     cross = lattice._cross_counts(mask)
     if 1 not in cross:
         return []

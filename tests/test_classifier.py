@@ -267,6 +267,16 @@ def test_classification_from_json_round_trip(grids, full_census):
     for key in ("label", "justification"):
         with pytest.raises(ValueError):
             classifier.Classification.from_json({**payload, key: "NO_SUCH_NAME"})
+    # Each justification implies one label: one mismatched pair per label.
+    for label, just in (
+        (Label.NPT_ENTANGLED, Justification.LP_CERTIFICATE),
+        (Label.PPT_ENTANGLED, Justification.PROP1A_VIOLATION),
+        (Label.SEPARABLE, Justification.PROP3_WITNESS),
+        (Label.UNKNOWN, Justification.MAXIMALLY_MIXED),
+    ):
+        mismatched = {**payload, "label": label.value, "justification": just.value}
+        with pytest.raises(ValueError, match="implies"):
+            classifier.Classification.from_json(mismatched)
 
 
 def test_masks_outside_16_bits_are_rejected():

@@ -266,6 +266,35 @@ def test_global_flags_before_and_after_each_subcommand(capsys, tmp_path, name):
         assert printed == "" or name == "census", where  # census names its files
 
 
+MISSING_OUT = "<tmp_path>/missing/x"  # --out into a directory that does not exist
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "not-a-subset"],
+        ["classify", "0x0000"],
+        ["witness", "0x000F"],
+        ["decompose", "0x000F"],
+        ["census", "--min", "3", "--max", "2"],
+        ["--format", "ascii", "census"],
+        ["--out", MISSING_OUT, "classify", "0x1"],
+        ["--out", MISSING_OUT, *COMMAND_LINES["census"]],
+        ["--out", MISSING_OUT, "verify"],
+    ],
+    ids=" ".join,
+)
+def test_usage_error_is_one_error_line_and_exit_2(capsys, tmp_path, argv):
+    # Every bad request ends in main's one handler: exit 2, nothing on
+    # stdout, one "error:" line on stderr, and no file written.
+    argv = [str(tmp_path / "missing" / "x") if a == MISSING_OUT else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("name", ["census", "orbit", "witness", "decompose", "ptspectrum"])
 def test_ascii_format_rejected_where_output_is_json(capsys, tmp_path, name):
     # These print JSON only: --format ascii would change nothing.

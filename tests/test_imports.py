@@ -34,9 +34,9 @@ def test_classify_and_certificate_check_do_not_load_dense():
 
 
 def test_cold_lp_classify_builds_no_whole_space_table():
-    # The LP basis is built in closed form and find_mapping decodes one
-    # group element: neither needs the 65,536-row tables or the 1,152
-    # elements of group().
+    # The LP basis is built in closed form and decompose carries the
+    # canonical certificate by group index: neither needs the 65,536-row
+    # tables or the 1,152 elements of group().
     script = (
         "import lattice16\n"
         "from lattice16 import symmetry, tables\n"
@@ -187,3 +187,27 @@ def test_simplex_takes_integers_without_rescaling():
     }
     assert "feasible_nonneg_solution" in names
     assert not [n for n in names if "lcm" in n.lower() or "denominator" in n.lower()]
+
+
+def test_cli_turns_usage_errors_into_exit_2_in_main_only():
+    # The library raises lattice.UsageError and cli.main alone prints it
+    # as "error: ..." with exit 2.  Another except handler in cli.py, or
+    # a second "error:" string, would be a command restating the rule.
+    tree = ast.parse((ROOT / "src" / "lattice16" / "cli.py").read_text())
+    owner = {}
+    # ast.walk is breadth first, so inner functions overwrite outer ones.
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            owner.update((node, fn.name) for node in ast.walk(fn))
+    handlers = {
+        owner.get(node) for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
+    }
+    assert handlers <= {"main", "_command_named"}  # None: a module-level handler
+    texts = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and "error:" in node.value
+    ]
+    assert texts == ["error: "]

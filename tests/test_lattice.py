@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diag_states import diag_state_is_ppt, validate_probability_table
-from lattice16 import classifier, lattice, symmetry, tables
+from lattice16 import classifier, lattice, seplp, symmetry, tables, witness
 
 random.seed(7)
 
@@ -92,6 +92,26 @@ def test_prop1b(grids):
     assert lattice.prop1b_entangled(grids["rho9"]) is None
     with pytest.raises(ValueError):
         lattice.prop1b_entangled(0xF)
+
+
+def test_usage_error_marks_requests_outside_an_operations_domain():
+    # What a command line can ask for is a UsageError (the CLI exits 2
+    # on it); misuse inside the program stays a plain ValueError.
+    assert issubclass(lattice.UsageError, ValueError)
+    assert issubclass(lattice.EmptySubsetError, lattice.UsageError)
+    assert issubclass(lattice.SubsetParseError, lattice.UsageError)
+    for request in (
+        lambda: witness.witness_scan(0xF),
+        lambda: seplp.decompose(0xF),
+        lambda: lattice.prop1b_entangled(0xF),
+        lambda: classifier.census(3, 2),
+    ):
+        with pytest.raises(lattice.UsageError):
+            request()
+    for misuse in (lambda: lattice._in_range(-1), lambda: lattice.site_index(4, 0)):
+        with pytest.raises(ValueError) as info:
+            misuse()
+        assert not isinstance(info.value, lattice.UsageError)
 
 
 def test_prop1b_matches_site_loop():
