@@ -14,11 +14,13 @@ the 16 identities in exact (dyadic) float arithmetic, counts
 spectrum, the PPT flag and the k=1 witness value of every mask with
 integer equality.
 
-Phi_V[B] = Tr(B) I_4 - B - V B^T V* is defined once, by :func:`phi_v`,
-and applied blockwise by :func:`apply_id_tensor_phi`.  The sweep applies
-it only with the six V = sigma_xy of ``witness.canonical_slot``, after
-checking exactly the hypotheses of its positivity proof (in
-:mod:`lattice16.witness`), in the psi basis Psi of the sign identities.
+Phi_V[B] = Tr(B) I_4 - B - V B^T V* is defined once, by :func:`phi_v`;
+:func:`apply_id_tensor_phi` applies it through its 16x16 matrix, built
+from phi_v of the unit matrices.  The sweep applies it only with the six
+V = sigma_xy of ``witness.canonical_slot``, after checking exactly the
+hypotheses of its positivity proof (in :mod:`lattice16.witness`), in the
+psi basis Psi of the sign identities, and reads each k=1 witness value
+from the byte tables of one (site, contributor) weight column.
 """
 
 from __future__ import annotations
@@ -65,14 +67,12 @@ def partial_transpose(m: np.ndarray) -> np.ndarray:
     return m.reshape(*lead, 4, 4, 4, 4).swapaxes(-3, -1).reshape(*lead, 16, 16)
 
 
-def _bits(masks: np.ndarray) -> np.ndarray:
-    """(len, 16) 0/1 int64 table: bit s of each mask."""
-    return masks[:, None] >> np.arange(16) & 1
-
-
+@functools.cache
 def _psi() -> np.ndarray:
-    """(16, 16) complex Psi: column 4*mu + nu is psi_mn."""
-    return np.stack([pauli.psi_pair(mu, nu) for mu, nu in pauli.ALL_SITES], axis=1)
+    """(16, 16) complex Psi, read-only: column 4*mu + nu is psi_mn."""
+    psi = np.stack([pauli.psi_pair(mu, nu) for mu, nu in pauli.ALL_SITES], axis=1)
+    psi.setflags(write=False)
+    return psi
 
 
 def _pt_signs() -> np.ndarray:
@@ -132,12 +132,21 @@ def phi_v(v: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def apply_id_tensor_phi(v: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Apply Phi_V to the second factor of a 16x16 bipartite operator, or
-    of each one in a stack of shape (..., 16, 16): :func:`phi_v` on each
-    4x4 block."""
+    of each one in a stack of shape (..., 16, 16).
+
+    Phi_V is linear, so it is the 16x16 matrix whose row 4*a + b is
+    :func:`phi_v` of the unit matrix E_ab, flattened; every flattened
+    4x4 block is multiplied by it.  On dyadic input (the projectors)
+    each entry is the same exact sum as phi_v's own."""
     lead = rho.shape[:-2]
-    # (i, a, j, b) -> (i, j, a, b): entry (a, b) of block (i, j).
-    blocks = rho.reshape(*lead, 4, 4, 4, 4).swapaxes(-3, -2)
-    return phi_v(v, blocks).swapaxes(-3, -2).reshape(*lead, 16, 16)
+    phi = phi_v(v, np.eye(16).reshape(16, 4, 4)).reshape(16, 16)
+    # (i, a, j, b) -> (i, j, a, b): row 4*i + j holds block (i, j) flattened.
+    blocks = rho.reshape(*lead, 4, 4, 4, 4).swapaxes(-3, -2).reshape(*lead, 16, 16)
+    # Stacked (..., 16, 16) @ (16, 16), not one flattened (16 * len, 16)
+    # product: cold, on a 2-core machine, the flattened product of the
+    # projector stack took 4-7 ms in the threaded BLAS, the stacked 0.15.
+    out = blocks @ phi
+    return out.reshape(*lead, 4, 4, 4, 4).swapaxes(-3, -2).reshape(*lead, 16, 16)
 
 
 def _slot_v(x: int, y: int) -> np.ndarray:
@@ -162,25 +171,36 @@ def _witness_values() -> tuple[np.ndarray, np.ndarray]:
     """(masks, N * dense values) for every k=1 site of every PPT mask, one
     entry per (mask, site), with the contributor and V of witness_scan.
 
-    weight[c, mn, s] is the dense value of P_s at the diagonal site
-    (mu, nu) when site c is the one point of I on the cross through
-    (mu+2, nu+2); it is computed once per slot of witness.canonical_slot.
-    Each weight is -1/2, 0 or 1/2, so the sums are exact.
+    Column p of the weight table is one (site mn, contributor c) pair,
+    c on the cross through (mu+2, nu+2): row s is the dense value of P_s
+    at the diagonal site (mu, nu), computed once per slot of
+    witness.canonical_slot.  A mask's value at mn is the column of its
+    contributor summed over its sites, read from the two byte tables of
+    the column.  Each weight is -1/2, 0 or 1/2, so the sums are exact.
     """
     on_cross = tables.CROSS.T  # [mn, s]
-    per_slot, weight = {}, np.zeros((16, 16, 16))
-    for mn, c in np.argwhere(on_cross).tolist():
+    sites_of, contributors = np.nonzero(on_cross)
+    # The last column stays 0: a (site, contributor) pair off the cross.
+    per_slot, weight = {}, np.zeros((16, len(sites_of) + 1))
+    pair = np.full((16, 16), len(sites_of))  # pair[mn, c]: a column of weight
+    for p, (mn, c) in enumerate(zip(sites_of.tolist(), contributors.tolist())):
         mu, nu = divmod(mn, 4)
         slot = witness.canonical_slot(divmod(c, 4), (mu ^ 2, nu ^ 2))
         if slot not in per_slot:
             per_slot[slot] = _tilde_diagonal(projector_stack(), _slot_v(*slot))
-        weight[c, mn] = per_slot[slot][:, mu, nu]
+        weight[:, p] = per_slot[slot][:, mu, nu]
+        pair[mn, c] = p
+    lo, hi = tables.byte_sums(weight)
+    # On a mask with one bit, the byte sums of the site indices read its site.
+    site_lo, site_hi = tables.byte_sums(np.arange(16))
     ppt = np.flatnonzero(tables.ppt())
     rows, sites = np.nonzero(tables.k_table()[ppt] == 1)
     masks = ppt[rows]
-    bits = _bits(masks)
-    contributor = np.argmax(bits & on_cross[sites], axis=1)
-    return masks, (weight[contributor, sites] * bits).sum(axis=1)
+    # The contributor is the lowest (at k = 1 the only) bit of I on the cross.
+    point = masks & (on_cross.astype(np.int64) << np.arange(16)).sum(axis=1)[sites]
+    point &= -point
+    cols = pair[sites, site_lo[point & 0xFF] + site_hi[point >> 8]]
+    return masks, lo[masks & 0xFF, cols] + hi[masks >> 8, cols]
 
 
 def _positive_counts() -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,43 @@ from diag_states import build_diag_state
 from lattice16 import cli, dense, lattice, pauli, tables, witness
 
 RNG = np.random.default_rng(1)
+
+# The six V = sigma_xy that witness.canonical_slot picks.
+SLOTS = [(x, 2) for x in (0, 1, 3)] + [(2, y) for y in (0, 1, 3)]
+
+
+def _bits(masks):
+    """(len, 16) 0/1 int64 table: bit s of each mask."""
+    return masks[:, None] >> np.arange(16) & 1
+
+
+def _blockwise_phi(v, rho):
+    """id (x) Phi_V on a stack of 16x16 operators, phi_v on each 4x4 block:
+    the reference for dense.apply_id_tensor_phi's matrix product."""
+    lead = rho.shape[:-2]
+    blocks = rho.reshape(*lead, 4, 4, 4, 4).swapaxes(-3, -2)
+    return dense.phi_v(v, blocks).swapaxes(-3, -2).reshape(*lead, 16, 16)
+
+
+def _gathered_witness_values():
+    """(masks, values, sites, contributors) of every k=1 site of every PPT
+    mask, without byte tables: weight[contributor, site] times the bits
+    of each mask, summed, with the weights from :func:`_blockwise_phi`
+    of the projector stack."""
+    on_cross = tables.CROSS.T  # [mn, s]
+    weight = np.zeros((16, 16, 16))
+    for mn, c in np.argwhere(on_cross).tolist():
+        mu, nu = divmod(mn, 4)
+        v = pauli.sigma_pair(*witness.canonical_slot(divmod(c, 4), (mu ^ 2, nu ^ 2)))
+        w = np.kron(np.eye(4), v) @ dense._psi()
+        out = _blockwise_phi(v, dense.projector_stack())
+        weight[c, mn] = (w.conj() * (out @ w)).sum(axis=-2).real[:, mn]
+    ppt = np.flatnonzero(tables.ppt())
+    rows, sites = np.nonzero(tables.k_table()[ppt] == 1)
+    masks = ppt[rows]
+    bits = _bits(masks)
+    contributor = np.argmax(bits & on_cross[sites], axis=1)
+    return masks, (weight[contributor, sites] * bits).sum(axis=1), sites, contributor
 
 
 def test_build_lattice_state_properties():
@@ -165,6 +204,8 @@ def _not_unitary(monkeypatch):
     monkeypatch.setattr(
         pauli, "psi_pair", lambda a, b: 2 * u if (a, b) == (0, 0) else psi_pair(a, b)
     )
+    # Rebuilt on each call, so Psi is read from the patched psi_pair.
+    monkeypatch.setattr(dense, "_psi", dense._psi.__wrapped__)
     monkeypatch.setattr(dense, "projector_stack", lambda: stack)
 
 
@@ -270,6 +311,44 @@ def test_oracle_sweep_applies_phi_v(monkeypatch):
     assert len(flagged) == len(report["disagreements"]) == 2688
 
 
+def test_witness_values_match_bit_gather():
+    # The byte-table reads give the same (mask, value) pairs as the gather
+    # of each mask's bits against its contributor's weight row.
+    masks, values = dense._witness_values()
+    expected, expected_values, _, _ = _gathered_witness_values()
+    assert len(values) == 5088 and len(set(masks.tolist())) == 2688
+    assert Counter(zip(masks.tolist(), values.tolist())) == Counter(
+        zip(expected.tolist(), expected_values.tolist())
+    )
+    assert (values == -0.5).all()
+
+
+def test_oracle_sweep_reports_perturbed_slot_entry(monkeypatch):
+    # Entry (s, mu, nu) of one slot's dense diagonal is read only by the
+    # (site, contributor) pairs at (mu, nu) whose contributor picks that
+    # slot, and only on masks that hold s: exactly those are flagged.
+    s, (mu, nu), slot = 15, (0, 0), (2, 0)
+    tilde_diagonal = dense._tilde_diagonal
+
+    def perturbed(rho, v):
+        d = tilde_diagonal(rho, v)
+        if np.array_equal(v, pauli.sigma_pair(*slot)):
+            d[s, mu, nu] += 0.5
+        return d
+
+    monkeypatch.setattr(dense, "_tilde_diagonal", perturbed)
+    masks, _, sites, contributor = _gathered_witness_values()
+    reads = [
+        m
+        for m, mn, c in zip(masks.tolist(), sites.tolist(), contributor.tolist())
+        if mn == 4 * mu + nu
+        and witness.canonical_slot(divmod(c, 4), (mu ^ 2, nu ^ 2)) == slot
+        and m >> s & 1
+    ]
+    report = dense.oracle_sweep()
+    assert reads and report["disagreements"] == [("witness", m) for m in sorted(set(reads))]
+
+
 def test_oracle_sweep_reports_broken_tables(monkeypatch):
     ppt = tables.ppt().copy()
     ppt[0x1357] = not ppt[0x1357]
@@ -281,6 +360,37 @@ def test_oracle_sweep_reports_broken_tables(monkeypatch):
     assert report["disagreements"] == [("ppt_sign", 0x1357), ("spectrum", 0x0F0F)]
 
 
+def test_oracle_sweep_reports_k_table_claiming_one(monkeypatch):
+    # A k-table entry of 1 where the cross holds no point of I, or two,
+    # gives the witness pass no single contributor.  It reads the value
+    # 0 there (no weight column, or the lowest point's, which absorbs
+    # that point and counts the two cross points at 1/2 each) and the
+    # sweep reports the mask rather than fail.
+    k = tables.k_table().copy()
+    ppt = np.flatnonzero(tables.ppt())
+    broken = []
+    for true_k in (0, 2):
+        rows, sites = np.nonzero(k[ppt] == true_k)
+        mask, mn = next(
+            (int(ppt[r]), int(c))
+            for r, c in zip(rows, sites)
+            # k = 0: a site whose cross misses site 0, the contributor
+            # read from an empty intersection.
+            if ppt[r] not in dict(broken) and (true_k or not tables.CROSS[0, c])
+        )
+        k[mask, mn] = 1
+        broken.append((mask, mn))
+    monkeypatch.setattr(tables, "k_table", lambda: k)
+    masks, values = dense._witness_values()
+    sites = np.nonzero(k[ppt] == 1)[1]
+    for mask, mn in broken:
+        assert values[(masks == mask) & (sites == mn)].tolist() == [0.0]
+    report = dense.oracle_sweep()
+    assert sorted(report["disagreements"]) == sorted(
+        (kind, m) for kind in ("spectrum", "witness") for m, _ in broken
+    )
+
+
 def test_positive_counts_equal_sign_product():
     # The int64 product bits @ signs is 4N rho_I^Gamma on each psi_mn, and
     # 2 |I & P+_mn| - N by the +-1 signs; the byte tables count the same.
@@ -288,7 +398,7 @@ def test_positive_counts_equal_sign_product():
     pos = dense._positive_counts()
     assert pos.dtype == np.uint8 and pos.shape == (len(masks), 16)
     n = tables.cardinality()[:, None].astype(np.int64)
-    product = dense._bits(masks) @ dense._pt_signs()
+    product = _bits(masks) @ dense._pt_signs()
     assert np.array_equal(2 * pos.astype(np.int64), product + n)
 
 
@@ -318,14 +428,16 @@ def test_oracle_sweep_needs_no_eigensolver(monkeypatch):
 
     for name in ("eigvalsh", "eigh", "eigvals", "eig"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    bits = dense._bits
-
-    def small_bits(masks):
-        assert len(masks) < lattice.FULL_MASK, "whole-space bit table"
-        return bits(masks)
-
-    monkeypatch.setattr(dense, "_bits", small_bits)
-    report = dense.oracle_sweep()
+    dense.oracle_sweep()  # builds the cached whole-space tables
+    # A (65536, 16) int64 bit table alone is 8 MiB; the sweep's own
+    # tables (counts and their check, one byte per entry) are 1 MiB each.
+    tracemalloc.start()
+    try:
+        report = dense.oracle_sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, "whole-space table of more than a byte per entry"
     assert report["spectra_checked"] == lattice.FULL_MASK
     assert report["disagreements"] == []
     with pytest.raises(AssertionError, match="eigensolver"):
@@ -426,6 +538,33 @@ def test_phi_positive_on_psd():
         b = _random_psd(RNG)
         for v in vs:
             assert np.linalg.eigvalsh(dense.phi_v(v.matrix, b)).min() > -1e-9
+
+
+def test_apply_id_tensor_phi_matches_blockwise_phi_v():
+    # The 16x16 matrix of Phi_V gives phi_v's own exact sums on the
+    # projectors and on a kron of dyadic factors, and agrees to rounding
+    # on a state with N = 5.
+    rng = np.random.default_rng(5)
+    stack = dense.projector_stack()
+    a = rng.integers(-4, 5, size=(4, 4)) / 4 + 1j * rng.integers(-4, 5, size=(4, 4)) / 8
+    b = rng.integers(-4, 5, size=(4, 4)) / 2
+    five = dense.build_lattice_state(0x0117)
+    assert lattice.state_cardinality(0x0117) == 5
+    for slot in SLOTS:
+        v = pauli.sigma_pair(*slot)
+        assert np.array_equal(dense.apply_id_tensor_phi(v, stack), _blockwise_phi(v, stack))
+        kron = np.kron(a, b)
+        assert np.array_equal(dense.apply_id_tensor_phi(v, kron), _blockwise_phi(v, kron))
+        assert np.abs(dense.apply_id_tensor_phi(v, five) - _blockwise_phi(v, five)).max() < 1e-15
+    v = random_admissible_v(rng).matrix
+    assert np.abs(dense.apply_id_tensor_phi(v, five) - _blockwise_phi(v, five)).max() < 1e-15
+
+
+def test_psi_is_cached_read_only():
+    psi = dense._psi()
+    assert psi is dense._psi() and not psi.flags.writeable
+    for mu, nu in pauli.ALL_SITES:
+        assert np.array_equal(psi[:, 4 * mu + nu], pauli.psi_pair(mu, nu))
 
 
 def test_apply_id_tensor_phi_on_kron():

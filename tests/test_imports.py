@@ -158,6 +158,18 @@ def test_src_compares_against_no_tolerance():
     assert found == []
 
 
+def test_src_needs_no_numpy_2():
+    # pyproject.toml declares numpy>=1.24; np.bitwise_count came in numpy
+    # 2.0, so a set bit is found from byte tables instead.
+    found = [
+        path.stem
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if "bitwise_count" in path.read_text()
+    ]
+    assert found == []
+    assert '"numpy>=1.24"' in (ROOT / "pyproject.toml").read_text()
+
+
 def test_only_tables_builds_byte_tables():
     # Every whole-space table sums a 16-row weight table over the sites of
     # each mask, from the two 256-row tables of tables.byte_sums.  The
