@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -171,7 +172,9 @@ def _classify_record(canonical: int, orbit_size: int) -> CensusRecord:
 
 def census(min_n: int = 1, max_n: int = 16) -> list[CensusRecord]:
     """Classify one representative per symmetry orbit, deterministically
-    ordered by (cardinality, canonical mask), for min_n <= N <= max_n."""
+    ordered by (cardinality, canonical mask), for min_n <= N <= max_n;
+    TypeError unless both bounds are integers."""
+    min_n, max_n = operator.index(min_n), operator.index(max_n)
     if not 1 <= min_n <= max_n <= 16:
         raise UsageError(f"census range {min_n}..{max_n}: need 1 <= min <= max <= 16")
     n = tables.cardinality()

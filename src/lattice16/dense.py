@@ -4,15 +4,18 @@ Decisions about PPT/NPT are always taken combinatorially in
 :mod:`lattice16.lattice`; this module checks them against the dense
 operators.
 
-Every projector P_ab is real, and rho_I is a real combination of them,
-so the whole module works in real dtype.  Each partially transposed
-projector is exactly +-1/4 sum_mn P_mn, so on psi_mn 4N rho_I^Gamma has
-the eigenvalue 2 |I & P+_mn| - N, where P+_mn is the set of sites whose
-sign is +1; the closed form says it is N - 2 k_mn.  The sweep proves
-the 16 identities in exact (dyadic) float arithmetic, counts
-|I & P+_mn| for every mask from two byte tables, and checks the
-spectrum, the PPT flag and the k=1 witness value of every mask with
-integer equality.
+The basis Psi = [psi_ab] and the projectors P_ab = |psi_ab><psi_ab| are
+built once, from the 16 sigma_ab of :func:`pauli.sigma_pair`:
+psi_ab = (I x sigma_ab) |psi+> is vec(sigma_ab^T) / 2 exactly, with
+psi+ = vec(I_4) / 2.  Every projector is real, and rho_I is a real
+combination of them, so the whole module works in real dtype.  Each
+partially transposed projector is exactly +-1/4 sum_mn P_mn, so on
+psi_mn 4N rho_I^Gamma has the eigenvalue 2 |I & P+_mn| - N, where P+_mn
+is the set of sites whose sign is +1; the closed form says it is
+N - 2 k_mn.  The sweep proves the 16 identities in exact (dyadic) float
+arithmetic, counts |I & P+_mn| for every mask from two byte tables, and
+checks the spectrum, the PPT flag and the k=1 witness value of every
+mask with integer equality.
 
 Phi_V[B] = Tr(B) I_4 - B - V B^T V* is defined once, by :func:`phi_v`;
 :func:`apply_id_tensor_phi` applies it through its 16x16 matrix, built
@@ -47,10 +50,16 @@ __all__ = [
 
 @functools.cache
 def projector_stack() -> np.ndarray:
-    """(16, 16, 16) real array of the projectors P_ab, indexed by 4*a + b."""
-    s = np.stack([pauli.projector(a, b) for a, b in pauli.ALL_SITES])
-    s.setflags(write=False)
-    return s
+    """(16, 16, 16) float64 array of the projectors P_ab = |psi_ab><psi_ab|,
+    indexed by 4*a + b (cached, read-only); ConsistencyError unless every
+    imaginary part is exactly 0."""
+    cols = _psi().T
+    p = cols[:, :, None] * cols.conj()[:, None, :]
+    if np.any(p.imag != 0.0):
+        raise lattice.ConsistencyError("a projector P_ab is not real")
+    p = np.ascontiguousarray(p.real)
+    p.setflags(write=False)
+    return p
 
 
 def build_lattice_state(mask: int) -> np.ndarray:
@@ -69,8 +78,11 @@ def partial_transpose(m: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _psi() -> np.ndarray:
-    """(16, 16) complex Psi, read-only: column 4*mu + nu is psi_mn."""
-    psi = np.stack([pauli.psi_pair(mu, nu) for mu, nu in pauli.ALL_SITES], axis=1)
+    """(16, 16) complex Psi, read-only: column 4*a + b is
+    psi_ab = (I (x) sigma_ab) |psi+>, with psi+ = vec(I_4) / 2, so entry
+    (4*i + j, 4*a + b) is sigma_ab[j, i] / 2, exactly."""
+    sigmas = np.stack([pauli.sigma_pair(a, b) for a, b in pauli.ALL_SITES])
+    psi = sigmas.transpose(2, 1, 0).reshape(16, 16) / 2
     psi.setflags(write=False)
     return psi
 
@@ -158,11 +170,18 @@ def _slot_v(x: int, y: int) -> np.ndarray:
     return v
 
 
+def _slot_w(v: np.ndarray) -> np.ndarray:
+    """W = (I x V) Psi, read-only: V times each 4-row block of Psi."""
+    w = (v @ _psi().reshape(4, 4, 16)).reshape(16, 16)
+    w.setflags(write=False)
+    return w
+
+
 def _tilde_diagonal(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The diagonal of W^dag (id x Phi_V)[rho] W, W = (I x V) Psi: entry (mu, nu)
     is <psi_mn| (I x V^dag) (id x Phi_V)[rho] (I x V) |psi_mn>, real, of shape
     (..., 4, 4) for a stack of shape (..., 16, 16)."""
-    w = np.kron(np.eye(4), v) @ _psi()
+    w = _slot_w(v)
     diag = (w.conj() * (apply_id_tensor_phi(v, rho) @ w)).sum(axis=-2).real
     return diag.reshape(*rho.shape[:-2], 4, 4)
 

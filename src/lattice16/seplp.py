@@ -75,15 +75,22 @@ class DecompositionCertificate:
 
     @classmethod
     def from_json(cls, payload: dict) -> DecompositionCertificate:
-        """The inverse of :meth:`to_json`.  The result is not verified;
-        pass it to :func:`verify_certificate`."""
+        """The inverse of :meth:`to_json`; ValueError unless every mask is
+        written in parse_subset's hex form (0x and 1 to 4 hex digits).  The
+        result is not verified; pass it to :func:`verify_certificate`."""
         try:
-            weights = {int(m, 16): Fraction(w) for m, w in payload["weights"]}
+            weights = {_hex_mask(m): Fraction(w) for m, w in payload["weights"]}
         except ZeroDivisionError as exc:
             raise ValueError("a weight has a zero denominator") from exc
         if len(weights) != len(payload["weights"]):
             raise ValueError("a basis member is listed twice")
-        return cls(target=int(payload["target"], 16), weights=weights)
+        return cls(target=_hex_mask(payload["target"]), weights=weights)
+
+
+def _hex_mask(text: str) -> int:
+    if not lattice._HEX_MASK.fullmatch(text):
+        raise ValueError(f"bad hex mask {text!r}: need 0x and 1 to 4 hex digits")
+    return int(text, 16)
 
 
 @functools.cache  # called with canonical masks only: one LP per orbit

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from lattice16 import pauli
+from lattice16 import dense, pauli
 from lattice16.symmetry import SymmetryElement
 
 _ID_PERM = (0, 1, 2, 3)
@@ -55,10 +55,10 @@ def verify_generator_numerically(g: SymmetryElement, tol: float = 1e-10) -> bool
     """Check that conjugating every projector by the generator's concrete
     local unitary lands on the projector at the permuted site."""
     w = local_unitary_for(g)
-    for a in range(4):
-        for b in range(4):
-            image = w @ pauli.projector(a, b) @ w.conj().T
-            x, y = g.apply_site(a, b)
-            if np.abs(image - pauli.projector(x, y)).max() > tol:
-                return False
+    stack = dense.projector_stack()
+    for a, b in pauli.ALL_SITES:
+        image = w @ stack[4 * a + b] @ w.conj().T
+        x, y = g.apply_site(a, b)
+        if np.abs(image - stack[4 * x + y]).max() > tol:
+            return False
     return True

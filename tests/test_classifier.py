@@ -164,6 +164,13 @@ def test_census_rejects_range_outside_1_to_16(min_n, max_n):
         classifier.census(min_n=min_n, max_n=max_n)
 
 
+@pytest.mark.parametrize("min_n, max_n", [(15.5, 16), (1, 16.0)])
+def test_census_rejects_float_bounds(min_n, max_n):
+    # As every mask entry point does: 15.5 is no cardinality.
+    with pytest.raises(TypeError):
+        classifier.census(min_n=min_n, max_n=max_n)
+
+
 def test_empty_census_is_empty_jsonl():
     assert classifier.census_to_jsonl([]) == ""
 

@@ -11,6 +11,7 @@ from admissible_v import (
     phi_v_tilde_diagonal,
     random_admissible_v,
 )
+import bell_basis
 from diag_states import build_diag_state
 from lattice16 import cli, dense, lattice, pauli, tables, witness
 
@@ -43,7 +44,7 @@ def _gathered_witness_values():
     for mn, c in np.argwhere(on_cross).tolist():
         mu, nu = divmod(mn, 4)
         v = pauli.sigma_pair(*witness.canonical_slot(divmod(c, 4), (mu ^ 2, nu ^ 2)))
-        w = np.kron(np.eye(4), v) @ dense._psi()
+        w = bell_basis.slot_w(v)
         out = _blockwise_phi(v, dense.projector_stack())
         weight[c, mn] = (w.conj() * (out @ w)).sum(axis=-2).real[:, mn]
     ppt = np.flatnonzero(tables.ppt())
@@ -107,27 +108,24 @@ def test_partial_transpose_on_stacks():
 
 
 def test_projector_stack_rejects_imaginary_part(monkeypatch):
-    # pauli.projector checks that every imaginary part is exactly 0.0;
-    # the stack only stacks its real, read-only results.
+    # The stack equals the Kronecker definition slice by slice, is real,
+    # C-contiguous and read-only; an imaginary part that is not exactly
+    # 0.0 is refused, not dropped.
     stack = dense.projector_stack()
-    assert stack.dtype == np.float64 and not stack.flags.writeable
+    assert stack.dtype == np.float64 and stack.flags.c_contiguous
+    assert stack is dense.projector_stack() and not stack.flags.writeable
     for a, b in pauli.ALL_SITES:
-        p = pauli.projector(a, b)
-        assert p.dtype == np.float64 and not p.flags.writeable
-        assert np.array_equal(stack[4 * a + b], p)
-    tilted = pauli.psi_pair(1, 2).copy()
-    tilted[np.flatnonzero(tilted)[0]] *= np.exp(1e-3j)
-    psi_pair = pauli.psi_pair
-    monkeypatch.setattr(
-        pauli, "psi_pair", lambda a, b: tilted if (a, b) == (1, 2) else psi_pair(a, b)
-    )
-    pauli.projector.cache_clear()
+        p = bell_basis.projector(a, b)
+        assert not p.imag.any() and np.array_equal(stack[4 * a + b], p.real)
+    tilted = dense._psi().copy()
+    psi_12 = tilted[:, 6]  # a view: the tilt lands in tilted
+    psi_12[np.flatnonzero(psi_12)[0]] *= np.exp(1e-3j)
+    monkeypatch.setattr(dense, "_psi", lambda: tilted)
     dense.projector_stack.cache_clear()
     try:
-        with pytest.raises(lattice.ConsistencyError):
+        with pytest.raises(lattice.ConsistencyError, match="not real"):
             dense.projector_stack()
     finally:
-        pauli.projector.cache_clear()
         dense.projector_stack.cache_clear()
 
 
@@ -139,13 +137,14 @@ def test_partially_transposed_projectors_are_diagonal():
     # sign table holds the same d, times 4.
     signs = dense._pt_signs()
     assert signs.dtype == np.int64
+    stack = dense.projector_stack()
     for a, b in pauli.ALL_SITES:
         expected = np.zeros((16, 16))
         for mu, nu in pauli.ALL_SITES:
             on_cross = (a == mu ^ 2) != (b == nu ^ 2)
-            expected += (-0.25 if on_cross else 0.25) * pauli.projector(mu, nu)
+            expected += (-0.25 if on_cross else 0.25) * stack[4 * mu + nu]
             assert signs[4 * a + b, 4 * mu + nu] == (-1 if on_cross else 1)
-        assert np.array_equal(dense.partial_transpose(pauli.projector(a, b)), expected)
+        assert np.array_equal(dense.partial_transpose(stack[4 * a + b]), expected)
 
 
 def test_pt_spectrum_matches_analytic_random():
@@ -157,9 +156,9 @@ def test_pt_spectrum_matches_analytic_random():
 
 
 def test_pt_spectrum_matches_plain_dense_route(grids):
-    # The plain route, built apart from dense: rho_I summed from
-    # pauli.projector, the second factor transposed entry by entry,
-    # then one 16x16 eigvalsh.
+    # The plain route, built apart from dense: rho_I summed from the
+    # Kronecker definition of the projectors, the second factor
+    # transposed entry by entry, then one 16x16 eigvalsh.
     rng = np.random.default_rng(2024)
     masks = [
         *grids.values(),
@@ -169,7 +168,7 @@ def test_pt_spectrum_matches_plain_dense_route(grids):
     ]
     for mask in masks:
         sites = lattice.sites(mask)
-        rho = sum(pauli.projector(a, b) for a, b in sites) / len(sites)
+        rho = sum(bell_basis.projector(a, b) for a, b in sites) / len(sites)
         gamma = np.empty_like(rho)
         for i, j, k, l in np.ndindex(4, 4, 4, 4):
             gamma[4 * i + j, 4 * k + l] = rho[4 * i + l, 4 * k + j]
@@ -196,16 +195,13 @@ def _not_unitary(monkeypatch):
     # match: each 4 Psi^dag P_s^Gamma Psi stays diagonal with entries +-1,
     # but Psi is no longer unitary, so that is a congruence, not a
     # similarity, and proves nothing about the spectrum.
-    u = pauli.psi_pair(0, 0)
+    psi = dense._psi().copy()
+    u = psi[:, 0].real
     pts = dense.partial_transpose(dense.projector_stack())
-    pts = pts - dense._pt_signs()[:, 0, None, None] * 3 / 16 * np.outer(u, u).real
+    pts = pts - dense._pt_signs()[:, 0, None, None] * 3 / 16 * np.outer(u, u)
     stack = dense.partial_transpose(pts)
-    psi_pair = pauli.psi_pair
-    monkeypatch.setattr(
-        pauli, "psi_pair", lambda a, b: 2 * u if (a, b) == (0, 0) else psi_pair(a, b)
-    )
-    # Rebuilt on each call, so Psi is read from the patched psi_pair.
-    monkeypatch.setattr(dense, "_psi", dense._psi.__wrapped__)
+    psi[:, 0] *= 2
+    monkeypatch.setattr(dense, "_psi", lambda: psi)
     monkeypatch.setattr(dense, "projector_stack", lambda: stack)
 
 
@@ -218,9 +214,9 @@ def _replace_projector(monkeypatch, p):
 def _not_diagonal(monkeypatch):
     # 4 P_11^Gamma gains psi_00 psi_01^T + psi_01 psi_00^T: in the psi
     # basis its diagonal stays +-1, but it is no longer diagonal.
-    u, v = pauli.psi_pair(0, 0).real, pauli.psi_pair(0, 1).real
+    u, v = dense._psi()[:, 0].real, dense._psi()[:, 1].real
     uv = np.outer(u, v)
-    pt = dense.partial_transpose(pauli.projector(1, 1)) + (uv + uv.T) / 4
+    pt = dense.partial_transpose(dense.projector_stack()[5]) + (uv + uv.T) / 4
     _replace_projector(monkeypatch, dense.partial_transpose(pt))
 
 
@@ -230,7 +226,7 @@ def _not_diagonal(monkeypatch):
         _not_unitary,
         _not_diagonal,
         # Diagonal in the psi basis, but with entries +-2 after scaling.
-        lambda mp: _replace_projector(mp, 2 * pauli.projector(1, 1)),
+        lambda mp: _replace_projector(mp, 2 * dense.projector_stack()[5]),
     ],
     ids=["psi_not_unitary", "pt_not_diagonal", "pt_diagonal_not_unit"],
 )
@@ -561,10 +557,20 @@ def test_apply_id_tensor_phi_matches_blockwise_phi_v():
 
 
 def test_psi_is_cached_read_only():
+    # Column 4*mu + nu of the closed form equals the Kronecker definition.
     psi = dense._psi()
     assert psi is dense._psi() and not psi.flags.writeable
     for mu, nu in pauli.ALL_SITES:
-        assert np.array_equal(psi[:, 4 * mu + nu], pauli.psi_pair(mu, nu))
+        assert np.array_equal(psi[:, 4 * mu + nu], bell_basis.psi_pair(mu, nu))
+
+
+@pytest.mark.parametrize("slot", SLOTS)
+def test_slot_w_matches_kronecker_definition(slot):
+    # W = (I x V) Psi from V times the 4-row blocks of Psi, for each V of
+    # canonical_slot, equals the Kronecker product applied to Psi.
+    v = pauli.sigma_pair(*slot)
+    w = dense._slot_w(v)
+    assert np.array_equal(w, bell_basis.slot_w(v)) and not w.flags.writeable
 
 
 def test_apply_id_tensor_phi_on_kron():

@@ -133,6 +133,37 @@ def test_only_pt_spectrum_calls_an_eigensolver():
     assert found == [("dense", "pt_spectrum")]
 
 
+def test_bell_basis_is_built_once_without_per_site_kron():
+    # dense builds Psi from the sigma_ab stack and the projectors as one
+    # outer product of its columns; np.kron serves only sigma_pair.  A
+    # per-site psi_plus / psi_pair / projector builder would be a second
+    # definition of the basis (the tests keep the Kronecker one).
+    krons, builders = [], []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        # ast.walk is breadth first, so inner functions overwrite outer ones.
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            name = (
+                node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, (ast.alias, ast.FunctionDef))
+                else node.value if isinstance(node, ast.Constant)
+                else None
+            )
+            if name == "kron":
+                krons.append((path.stem, owner.get(node)))
+            if name in {"psi_plus", "psi_pair"} or (
+                isinstance(node, ast.FunctionDef) and name == "projector"
+            ):
+                builders.append((path.stem, name))
+    assert krons == [("pauli", "sigma_pair")]
+    assert builders == []
+
+
 def test_src_compares_against_no_tolerance():
     # Every check in src/ is an exact equality: the positivity of Phi_V
     # rests on V V^dag = I and V^T = -V, checked with np.array_equal, and

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lattice16 import pauli
+from bell_basis import psi_plus
+from lattice16 import dense, pauli
 
 RNG = np.random.default_rng(42)
 
@@ -67,13 +68,12 @@ def test_sigma_pair_basics():
 
 
 def test_cached_arrays_are_read_only():
-    for get in (pauli.sigma_pair, pauli.psi_pair, pauli.projector):
-        m = get(1, 2)
-        assert m is get(1, 2) and not m.flags.writeable
+    m = pauli.sigma_pair(1, 2)
+    assert m is pauli.sigma_pair(1, 2) and not m.flags.writeable
 
 
 def test_psi_plus_norm_and_shape():
-    v = pauli.psi_plus()
+    v = psi_plus()
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
     assert np.array_equal(v.reshape(4, 4), np.eye(4) / 2)
 
@@ -81,7 +81,7 @@ def test_psi_plus_norm_and_shape():
 def test_psi_plus_sandwich_identity():
     # <psi| A (x) B |psi> = Tr(A^T B) / 4: the 1/4 comes from the
     # normalization of the entangled vector.
-    v = pauli.psi_plus()
+    v = psi_plus()
     for _ in range(20):
         a = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
         b = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
@@ -90,9 +90,8 @@ def test_psi_plus_sandwich_identity():
 
 
 def test_projector_properties():
-    total = np.zeros((16, 16), dtype=complex)
-    for a, b in pauli.ALL_SITES:
-        p = pauli.projector(a, b)
+    total = np.zeros((16, 16))
+    for p in dense.projector_stack():
         assert np.trace(p).real == pytest.approx(1.0, abs=1e-12)
         assert np.abs(p @ p - p).max() < 1e-12
         assert np.abs(p - p.conj().T).max() < 1e-12
@@ -101,18 +100,19 @@ def test_projector_properties():
 
 
 def test_projectors_mutually_orthogonal():
-    for s in pauli.ALL_SITES:
-        for t in pauli.ALL_SITES:
-            prod = pauli.projector(*s) @ pauli.projector(*t)
+    stack = dense.projector_stack()
+    for s in range(16):
+        for t in range(16):
+            prod = stack[s] @ stack[t]
             if s == t:
-                assert np.abs(prod - pauli.projector(*s)).max() < 1e-12
+                assert np.abs(prod - stack[s]).max() < 1e-12
             else:
                 assert np.abs(prod).max() < 1e-12
 
 
 def test_projector_00_is_psi_plus():
-    v = pauli.psi_plus()
-    assert np.abs(pauli.projector(0, 0) - np.outer(v, v.conj())).max() == 0
+    v = psi_plus()
+    assert np.array_equal(dense.projector_stack()[0], np.outer(v, v.conj()))
 
 
 def test_eta_identity_and_hardcoded():
@@ -180,11 +180,11 @@ def test_flip_involution_and_action():
 
 def test_flip_spectral_decomposition():
     f = flip_operator()
-    recon = np.zeros((16, 16), dtype=complex)
-    for a, b in pauli.ALL_SITES:
+    recon = np.zeros((16, 16))
+    for (a, b), p in zip(pauli.ALL_SITES, dense.projector_stack()):
         sign = pauli.EPSILON[a, a] * pauli.EPSILON[b, b]
-        recon += sign * pauli.projector(a, b)
+        recon += sign * p
         # Each projector is an eigenvector of conjugation: F P F = P and
         # F P = sign * P.
-        assert np.abs(f @ pauli.projector(a, b) - sign * pauli.projector(a, b)).max() < 1e-12
+        assert np.abs(f @ p - sign * p).max() < 1e-12
     assert np.abs(recon - f).max() < 1e-12

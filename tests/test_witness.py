@@ -74,7 +74,7 @@ def test_canonical_witness_identities():
                 expected[mu, nu] = on_cross / 2 - absorbed
                 single = 1 << (4 * a + b)
                 assert phi_v_tilde_diagonal(single, mu, nu, v) == expected[mu, nu]
-            got = dense._tilde_diagonal(pauli.projector(a, b), v.matrix)
+            got = dense._tilde_diagonal(dense.projector_stack()[4 * a + b], v.matrix)
             assert np.array_equal(got, expected), (slot, a, b)
 
 
