@@ -20,6 +20,7 @@ only, never a proof of entanglement.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -76,21 +77,32 @@ class DecompositionCertificate:
     @classmethod
     def from_json(cls, payload: dict) -> DecompositionCertificate:
         """The inverse of :meth:`to_json`; ValueError unless every mask is
-        written in parse_subset's hex form (0x and 1 to 4 hex digits).  The
-        result is not verified; pass it to :func:`verify_certificate`."""
-        try:
-            weights = {_hex_mask(m): Fraction(w) for m, w in payload["weights"]}
-        except ZeroDivisionError as exc:
-            raise ValueError("a weight has a zero denominator") from exc
+        written in parse_subset's hex form (0x and 1 to 4 hex digits) and
+        every weight in to_json's ``n/d`` form.  The result is not
+        verified; pass it to :func:`verify_certificate`."""
+        weights = {_hex_mask(m): _weight(w) for m, w in payload["weights"]}
         if len(weights) != len(payload["weights"]):
             raise ValueError("a basis member is listed twice")
         return cls(target=_hex_mask(payload["target"]), weights=weights)
 
 
 def _hex_mask(text: str) -> int:
-    if not lattice._HEX_MASK.fullmatch(text):
+    if not isinstance(text, str) or not lattice._HEX_MASK.fullmatch(text):
         raise ValueError(f"bad hex mask {text!r}: need 0x and 1 to 4 hex digits")
     return int(text, 16)
+
+
+_WEIGHT = re.compile(r"-?[0-9]+/[0-9]+")
+
+
+def _weight(text: str) -> Fraction:
+    # Fraction() would also take 1, 1.0, True, "1e0", " 1/1 " and "+1".
+    if not isinstance(text, str) or not _WEIGHT.fullmatch(text):
+        raise ValueError(f"bad weight {text!r}: need n/d, a signed integer over an integer")
+    numerator, denominator = map(int, text.split("/"))
+    if denominator == 0:
+        raise ValueError("a weight has a zero denominator")
+    return Fraction(numerator, denominator)
 
 
 @functools.cache  # called with canonical masks only: one LP per orbit

@@ -150,16 +150,16 @@ def test_ptspectrum_prints_no_negative_zero(capsys, grids):
         assert all(math.copysign(1.0, x) > 0 for x in values if x == 0)
 
 
-def test_cold_commands_do_not_import_numpy_ma():
-    # numpy.ma costs a cold process about 14 ms and no command needs it.
+def _modules_loaded_by_commands(runs, modules) -> list[str]:
+    """Which of ``modules`` a fresh interpreter holds after cli.main runs
+    each command line of ``runs`` (each must exit 0)."""
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "from lattice16 import cli\n"
-        "runs = (['verify'], ['census'], ['classify', '.XXX/.XXX/.XXX/....'])\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    for argv in runs:\n"
+        f"    for argv in {runs!r}:\n"
         "        assert cli.main(argv) == 0, argv\n"
-        "print('numpy.ma' in sys.modules)\n"
+        f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -167,7 +167,23 @@ def test_cold_commands_do_not_import_numpy_ma():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return json.loads(proc.stdout)
+
+
+COLD_RUNS = [["verify"], ["census"], ["classify", ".XXX/.XXX/.XXX/...."]]
+
+
+def test_cold_commands_do_not_import_numpy_ma():
+    # numpy.ma costs a cold process about 14 ms and no command needs it.
+    assert _modules_loaded_by_commands(COLD_RUNS, ["numpy.ma"]) == []
+
+
+def test_cold_commands_do_not_import_argparse():
+    # Importing and building an argparse parser cost every run 3-7 ms
+    # (gettext catalogue lookups, the locale import, regex compiles);
+    # the command table reads the command line and writes help without it.
+    modules = ["argparse", "gettext", "locale"]
+    assert _modules_loaded_by_commands([*COLD_RUNS, ["-h"]], modules) == []
 
 
 def test_census_subcommand(capsys, tmp_path):
@@ -317,6 +333,8 @@ def test_help_lists_every_subcommand(capsys):
     listed = out.split("positional arguments:", 1)[1]
     for name in COMMAND_LINES:
         assert f"\n    {name} " in listed, name
+    for argv in (["--help"], ["--he"], ["-h", "census"], ["--seed", "1", "-h", "frobnicate"]):
+        assert run(capsys, *argv) == (0, out, ""), argv
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -326,22 +344,71 @@ def test_unknown_subcommand_is_usage_error(capsys):
         assert out == "" and "lattice16: error:" in err, argv
 
 
-def test_parser_holds_only_the_named_subcommand():
-    # Building all eight subparsers costs every command 3-4 ms.  The
-    # global flags are skipped as argparse reads them, abbreviated too:
-    # "--ou census" is a file name, not the census command.
-    for argv, name in (
-        (["census"], "census"),
-        (["--seed", "1", "verify"], "verify"),
-        (["--out", "census", "classify", "0x1"], "classify"),
-        (["--ou", "census", "classify", "0x1"], "classify"),
-        (["render", "0x1", "--form", "grid"], "render"),
+@pytest.mark.parametrize("flag", ["--out", "--ou"])
+def test_global_flag_value_is_not_read_as_the_command(capsys, tmp_path, monkeypatch, flag):
+    # The global flags are read with their values, abbreviated too:
+    # "--ou census" is the file name census, not the census command.
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, flag, "census", "classify", "0x1") == (0, "", "")
+    assert [p.name for p in tmp_path.iterdir()] == ["census"]
+    assert json.loads((tmp_path / "census").read_text())["label"] == "NPT_ENTANGLED"
+
+
+def test_flag_prefixes_and_equals_values(capsys):
+    _, report, _ = run(capsys, "--format", "ascii", "classify", EX2R)
+    assert "PPT_ENTANGLED" in report
+    for argv in (
+        ["--fo", "ascii", "classify", EX2R],
+        ["--seed=5", "--format=ascii", "classify", EX2R],
+        ["classify", EX2R, "--fo=ascii", "--se", "5"],
     ):
-        usage = cli.build_parser(argv).format_usage()
-        assert f"{{{name}}}" in usage, (argv, usage)
-    for argv in (None, ["-h"], ["-h", "census"], ["frobnicate"], ["--out"]):
-        usage = cli.build_parser(argv).format_usage()
-        assert "{" + ",".join(COMMAND_LINES) + "}" in usage, argv
+        assert run(capsys, *argv) == (0, report, ""), argv
+    assert run(capsys, "render", "0x1", "--form=hex") == (0, "0x0001\n", "")
+    full = run(capsys, "census", "--min", "16")
+    assert run(capsys, "census", "--mi", "16", "--ma=16") == full
+
+
+MISTAKES = [  # command line, the usage line's program, words the error names
+    (["census", "--m", "3"], "lattice16 census", ["ambiguous", "--min", "--max"]),
+    (["render", "0x1", "--fo", "hex"], "lattice16 render", ["--format", "--form"]),
+    (["--min", "3", "census"], "lattice16", ["--min"]),  # census's flag, before census
+    (["--seed", "x", "verify"], "lattice16", ["--seed", "'x'"]),
+    (["--format", "csv", "classify", "0x1"], "lattice16", ["--format", "'csv'"]),
+    (["render", "0x1", "--form", "svg"], "lattice16 render", ["--form", "'svg'"]),
+    (["--out"], "lattice16", ["--out"]),
+    (["--out", "--format", "json", "verify"], "lattice16", ["--out"]),
+    (["classify"], "lattice16 classify", ["subset"]),
+    (["verify", "0x1"], "lattice16 verify", ["0x1"]),
+    (["-x", "verify"], "lattice16", ["-x"]),
+    (["frobnicate"], "lattice16", ["'frobnicate'"]),
+    ([], "lattice16", ["command"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, prog, named", MISTAKES, ids=[" ".join(argv) or "-" for argv, _, _ in MISTAKES]
+)
+def test_command_line_mistake_is_usage_line_and_one_error_line(capsys, argv, prog, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith(f"usage: {prog} [-h] "), usage
+    assert error.startswith("lattice16: error: ")
+    assert all(name in error for name in named), error
+
+
+@pytest.mark.parametrize(
+    "name, own",
+    [("census", ["--min MIN", "--max MAX"]), ("render", ["--form {grid,pairs,hex,table}"])],
+)
+def test_command_help_lists_its_own_flags(capsys, name, own):
+    code, out, err = run(capsys, name, "-h")
+    assert code == 0 and err == ""
+    assert out.startswith(f"usage: lattice16 {name} [-h] ")
+    options = out.split("options:", 1)[1]
+    for flag in ["--seed SEED", "--out OUT", "--format {json,ascii}", *own]:
+        assert f"\n  {flag} " in options, flag
+    assert run(capsys, name, "--help") == (0, out, "")
 
 
 def test_csv_format_rejected(capsys):

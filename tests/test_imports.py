@@ -102,6 +102,13 @@ def test_src_does_not_import_scipy():
     _assert_no_import("scipy")
 
 
+def test_src_imports_no_command_line_library():
+    # cli.py reads the command line from its own table: importing and
+    # building an argparse parser cost every command 3-7 ms.
+    for package in ("argparse", "optparse", "getopt"):
+        _assert_no_import(package)
+
+
 def test_integer_modules_do_not_import_numpy():
     # The combinatorics, the exact LP and the k=1 witness scan work in
     # integers and fractions only.
@@ -245,7 +252,7 @@ def test_cli_turns_usage_errors_into_exit_2_in_main_only():
     handlers = {
         owner.get(node) for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
     }
-    assert handlers <= {"main", "_command_named"}  # None: a module-level handler
+    assert handlers <= {"main"}  # None: a module-level handler
     texts = [
         node.value
         for node in ast.walk(tree)

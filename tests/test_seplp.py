@@ -285,12 +285,25 @@ def test_from_json_rejects_a_zero_denominator():
 
 
 @pytest.mark.parametrize(
-    "text", ["0x_F0F", "F0F", " 0x0F0F ", "+0xF", "0x00000F0F", "-0x1", "0x_0033"]
+    "weight", [1, 1.0, True, "1e0", "1.0", " 1/1 ", "+1", "1", "+1/1"], ids=repr
+)
+def test_from_json_reads_weights_in_the_n_over_d_form_only(weight):
+    # Fraction() takes each of these, and each certificate then verified.
+    good = {"target": "0x0033", "weights": [["0x0033", "1/1"]]}
+    assert seplp.verify_certificate(seplp.DecompositionCertificate.from_json(good))
+    payload = {**good, "weights": [["0x0033", weight]]}
+    with pytest.raises(ValueError, match="bad weight"):
+        seplp.DecompositionCertificate.from_json(payload)
+
+
+@pytest.mark.parametrize(
+    "text", ["0x_F0F", "F0F", " 0x0F0F ", "+0xF", "0x00000F0F", "-0x1", "0x_0033", 51]
 )
 def test_from_json_reads_masks_in_the_hex_form_only(text):
     # parse_subset's hex grammar: 0x and 1 to 4 hex digits.  int(text, 16)
-    # takes each of these, reads -0x1 as the target -1, and lets the
-    # member 0x_0033 verify as the rectangle 0x0033.
+    # takes each of these strings, reads -0x1 as the target -1, and lets
+    # the member 0x_0033 verify as the rectangle 0x0033; the JSON number
+    # 51 is a ValueError too, not the regex's TypeError.
     good = {"target": "0x0033", "weights": [["0x0033", "1/1"]]}
     assert seplp.verify_certificate(seplp.DecompositionCertificate.from_json(good))
     for payload in ({**good, "target": text}, {**good, "weights": [[text, "1/1"]]}):
