@@ -68,9 +68,12 @@ class Classification:
 
     @classmethod
     def from_json(cls, payload: dict) -> Classification:
-        """The inverse of :meth:`to_json`; ValueError on an unknown label
-        or justification, or a label the justification does not imply.
-        The evidence is taken as it is, unchecked."""
+        """The inverse of :meth:`to_json`; ValueError on a missing key, an
+        unknown label or justification, or a label the justification does
+        not imply.  The evidence is taken as it is, unchecked."""
+        missing = sorted({"label", "justification", "evidence"} - payload.keys())
+        if missing:
+            raise ValueError(f"classification has no {', '.join(map(repr, missing))}")
         label = Label(payload["label"])
         justification = Justification(payload["justification"])
         implied = _LABEL_OF[justification]
@@ -103,51 +106,57 @@ class CensusRecord:
         }
 
 
-def _violating_site(mask: int) -> tuple[int, int]:
-    n = lattice.cardinality(mask)
-    for pos, cross in enumerate(lattice._cross_counts(mask)):
-        if 2 * cross > n:
-            return divmod(pos, 4)
-    raise ConsistencyError("no violating site on a non-PPT subset")
+def _npt_site(mask: int, n: int, cross: tuple[int, ...]) -> dict | None:
+    if 2 * max(cross) <= n:  # PPT: every cross holds at most N/2 points of I
+        return None
+    pos = next(pos for pos, c in enumerate(cross) if 2 * c > n)
+    return {"violating_site": list(divmod(pos, 4))}
+
+
+def _k1_witness(mask: int, n: int, cross: tuple[int, ...]) -> dict | None:
+    reports = witness._scan(mask, n, cross)
+    if not reports:
+        return None
+    evidence = {"witness": reports[0].to_json(), "witness_count": len(reports)}
+    prop1b = lattice.prop1b_entangled(mask)
+    if prop1b is not None:
+        evidence["prop1b_site"] = list(prop1b)
+    return evidence
+
+
+def _lp_certificate(mask: int, n: int, cross: tuple[int, ...]) -> dict | None:
+    cert = seplp.decompose(mask)
+    return None if cert is None else {"certificate": cert.to_json()}
+
+
+# (justification, decide(mask, n, cross) -> evidence or None).  Rows call
+# other modules through their attributes, so a rebound function runs.
+_STAGES = (
+    (Justification.MAXIMALLY_MIXED, lambda mask, n, cross: {} if n == 16 else None),
+    (Justification.PROP1A_VIOLATION, _npt_site),
+    (Justification.ISOTROPIC_N15, lambda mask, n, cross: {} if n == 15 else None),
+    (Justification.PROP3_WITNESS, _k1_witness),
+    (Justification.LP_CERTIFICATE, _lp_certificate),
+)
 
 
 def classify(mask: int) -> Classification:
     """Assign a label with machine-checkable evidence.
 
-    Decision order: maximally mixed, NPT by the cross criterion, the
-    N=15 isotropic rule, the k=1 reduction-map witness, the exact LP
-    certificate, and finally UNKNOWN.
-    """
+    N and the 16 cross counts are computed once and handed to the rows of
+    ``_STAGES``, in order: N=16 (maximally mixed), NPT (a cross holding
+    more than N/2 points of I), N=15 (isotropic), the k=1 reduction-map
+    witness, and the exact LP certificate.  The first row with evidence
+    decides, and its justification implies the label.  No verdict is
+    UNKNOWN: a mask that no row decides is a ConsistencyError."""
+    mask = lattice._in_range(mask)
     n = lattice.state_cardinality(mask)
-    if n == 16:
-        return Classification(Label.SEPARABLE, Justification.MAXIMALLY_MIXED)
-    if not lattice.is_ppt(mask):
-        return Classification(
-            Label.NPT_ENTANGLED,
-            Justification.PROP1A_VIOLATION,
-            {"violating_site": list(_violating_site(mask))},
-        )
-    if n == 15:
-        return Classification(Label.SEPARABLE, Justification.ISOTROPIC_N15)
-    reports = witness.witness_scan(mask)
-    if reports:
-        prop1b = lattice.prop1b_entangled(mask)
-        evidence = {"witness": reports[0].to_json(), "witness_count": len(reports)}
-        if prop1b is not None:
-            evidence["prop1b_site"] = list(prop1b)
-        return Classification(Label.PPT_ENTANGLED, Justification.PROP3_WITNESS, evidence)
-    cert = seplp.decompose(mask)
-    if cert is not None:
-        return Classification(
-            Label.SEPARABLE, Justification.LP_CERTIFICATE, {"certificate": cert.to_json()}
-        )
-    k = lattice.k_matrix(mask)
-    kz_centers = [
-        [mu ^ 2, nu ^ 2] for mu in range(4) for nu in range(4) if k[mu][nu] == 0
-    ]
-    return Classification(
-        Label.UNKNOWN, Justification.NONE, {"kappa_zero_centers": kz_centers}
-    )
+    cross = lattice._cross_counts(mask)
+    for justification, decide in _STAGES:
+        evidence = decide(mask, n, cross)
+        if evidence is not None:
+            return Classification(_LABEL_OF[justification], justification, evidence)
+    raise ConsistencyError(f"mask 0x{mask:04X} decided by no stage")
 
 
 def _classify_record(canonical: int, orbit_size: int) -> CensusRecord:
@@ -188,9 +197,7 @@ def census(min_n: int = 1, max_n: int = 16) -> list[CensusRecord]:
 
 def summary_table(records: list[CensusRecord]) -> dict[int, dict[str, int]]:
     """Subset counts (orbit-size weighted) per (cardinality, label)."""
-    table: dict[int, dict[str, int]] = {
-        n: {label.value: 0 for label in Label} for n in range(1, 17)
-    }
+    table = {n: {label.value: 0 for label in Label} for n in range(1, 17)}
     for r in records:
         table[r.cardinality][r.label.value] += r.orbit_size
     return table
@@ -204,8 +211,7 @@ def summary_to_csv(records: list[CensusRecord]) -> str:
     table = summary_table(records)
     labels = [label.value for label in Label]
     lines = ["N," + ",".join(labels)]
-    for n in range(1, 17):
-        lines.append(f"{n}," + ",".join(str(table[n][l]) for l in labels))
+    lines += [f"{n}," + ",".join(str(table[n][l]) for l in labels) for n in range(1, 17)]
     return "\n".join(lines) + "\n"
 
 
@@ -217,10 +223,8 @@ def explain(mask: int) -> str:
         lattice.render_subset(mask, "table"),
         "",
     ]
-    k = lattice.k_matrix(mask)
     lines.append("k-matrix (rows mu=0..3, columns nu=0..3):")
-    for mu in range(4):
-        lines.append("  " + " ".join(str(k[mu][nu]) for nu in range(4)))
+    lines += ["  " + " ".join(map(str, row)) for row in lattice.k_matrix(mask)]
     lines.append(f"kappa = {lattice.kappa(mask)}")
     cls = classify(mask)
     lines.append(f"label = {cls.label.value} ({cls.justification.value})")
@@ -238,10 +242,4 @@ def explain(mask: int) -> str:
         cert = cls.evidence["certificate"]
         terms = ", ".join(f"{w} * {m}" for m, w in cert["weights"])
         lines.append(f"certificate: {terms}")
-    elif cls.label is Label.UNKNOWN:
-        centers = cls.evidence.get("kappa_zero_centers", [])
-        lines.append(
-            "undecided: no k=1 witness, LP infeasible over the rank-4 basis"
-            + (f"; kappa-zero centers {centers}" if centers else "")
-        )
     return "\n".join(lines)

@@ -9,17 +9,11 @@ The cross through site p = 4*alpha + beta is column alpha and row beta
 without p itself.  ``_CROSS[p]`` is its bitmask, the only definition of
 the cross: every cross count is ``(mask & _CROSS[p]).bit_count()``, the
 whole-space incidence ``tables.CROSS`` takes its bits, and the k=1
-witness scan reads its one contributor from it.  The 16 cross counts
-behind ``k_matrix``, ``kappa``, ``is_ppt`` and ``prop1b_entangled`` are
-computed once per classification: ``_cross_counts`` keeps the last mask
-it was asked about, and every call inside one classification (the PPT
-test, the witness scan, the LP's PPT guard, the census's ``kappa``)
-asks about that same mask.
+witness scan reads its one contributor from it.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 import re
 
@@ -124,11 +118,6 @@ def cross_count(mask: int, alpha: int, beta: int) -> int:
     return (_in_range(mask) & _CROSS[site_index(alpha, beta)]).bit_count()
 
 
-# One entry: the calls of one classification all ask about the same
-# mask in a row, so a last-mask memo serves them in O(1) memory.  A
-# float equal to a cached numpy mask would hit its entry, so the public
-# callers pass their mask through a gate that refuses floats first.
-@functools.lru_cache(maxsize=1)
 def _cross_counts(mask: int) -> tuple[int, ...]:
     """cross_count(mask, a, b) for all 16 sites, in bit-position order 4a+b."""
     mask = _in_range(mask)
@@ -138,28 +127,28 @@ def _cross_counts(mask: int) -> tuple[int, ...]:
 def k_matrix(mask: int) -> list[list[int]]:
     """The 4x4 integer table k[mu][nu] driving the partial-transpose
     spectrum: the cross count through the shifted site (mu+2, nu+2)."""
-    cross = _cross_counts(_in_range(mask))
+    cross = _cross_counts(mask)
     return [[cross[4 * (mu ^ 2) + (nu ^ 2)] for nu in range(4)] for mu in range(4)]
 
 
 def kappa(mask: int) -> int:
     """Minimum entry of the k-matrix (a permutation of the cross counts)."""
-    return min(_cross_counts(_in_range(mask)))
+    return min(_cross_counts(mask))
 
 
 def is_ppt(mask: int) -> bool:
     """PPT iff every cross count is at most N/2 (exact integer test)."""
-    n = state_cardinality(mask)
-    return 2 * max(_cross_counts(mask)) <= n
+    return 2 * max(_cross_counts(mask)) <= state_cardinality(mask)
 
 
 def prop1b_entangled(mask: int) -> tuple[int, int] | None:
     """A site (alpha, beta) outside I whose cross meets I in exactly one
     point, if any; such a site certifies entanglement of a PPT state."""
-    if not is_ppt(mask):
+    cross = _cross_counts(mask)
+    if 2 * max(cross) > state_cardinality(mask):  # is_ppt, on these counts
         raise UsageError("subset is NPT; prop1b test needs a PPT subset")
-    for pos, cross in enumerate(_cross_counts(mask)):
-        if cross == 1 and not mask >> pos & 1:
+    for pos, c in enumerate(cross):
+        if c == 1 and not mask >> pos & 1:
             return divmod(pos, 4)
     return None
 
@@ -214,11 +203,10 @@ def render_subset(mask: int, form: str = "grid") -> str:
         return f"0x{mask:04X}"
     if form == "pairs":
         return ";".join(f"{a},{b}" for a, b in sites(mask))
-    rows = []
-    for beta in range(3, -1, -1):
-        rows.append(
-            "".join("X" if mask >> (4 * a + beta) & 1 else "." for a in range(4))
-        )
+    rows = [
+        "".join("X" if mask >> (4 * a + beta) & 1 else "." for a in range(4))
+        for beta in range(3, -1, -1)
+    ]
     if form == "grid":
         return "/".join(rows)
     if form == "table":

@@ -80,10 +80,20 @@ class DecompositionCertificate:
         written in parse_subset's hex form (0x and 1 to 4 hex digits) and
         every weight in to_json's ``n/d`` form.  The result is not
         verified; pass it to :func:`verify_certificate`."""
-        weights = {_hex_mask(m): _weight(w) for m, w in payload["weights"]}
-        if len(weights) != len(payload["weights"]):
+        missing = sorted({"target", "weights"} - payload.keys())
+        if missing:
+            raise ValueError(f"certificate has no {', '.join(map(repr, missing))}")
+        target, entries = payload["target"], payload["weights"]
+        if not isinstance(entries, list):
+            raise ValueError(f"bad weights {entries!r}: need a list of [mask, weight] pairs")
+        weights = {}
+        for entry in entries:
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise ValueError(f"bad weight entry {entry!r}: need a [mask, weight] pair")
+            weights[_hex_mask(entry[0])] = _weight(entry[1])
+        if len(weights) != len(entries):
             raise ValueError("a basis member is listed twice")
-        return cls(target=_hex_mask(payload["target"]), weights=weights)
+        return cls(target=_hex_mask(target), weights=weights)
 
 
 def _hex_mask(text: str) -> int:

@@ -86,10 +86,13 @@ def witness_scan(mask: int) -> list[WitnessReport]:
     mask = lattice._in_range(mask)
     if not lattice.is_ppt(mask):
         raise UsageError("subset is NPT; witness scan needs a PPT subset")
-    cross = lattice._cross_counts(mask)
+    return _scan(mask, mask.bit_count(), lattice._cross_counts(mask))
+
+
+def _scan(mask: int, n: int, cross: tuple[int, ...]) -> list[WitnessReport]:
+    # The scan of a PPT plain-int mask whose N and cross counts are known.
     if 1 not in cross:
         return []
-    n = mask.bit_count()
     reports = []
     for mu in range(4):
         for nu in range(4):

@@ -79,19 +79,14 @@ def test_label_invariant_under_symmetry(mask, g):
         assert seplp.verify_certificate(seplp.decompose(image))
 
 
-def test_unknown_lists_kappa_zero_centers(grids, monkeypatch):
-    # A PPT mask with no k=1 witness whose LP finds no certificate is
-    # UNKNOWN, with the shifted sites of the zero k-matrix entries.
+def test_undecided_mask_is_a_consistency_error(grids, monkeypatch):
+    # Every PPT mask below N=15 without a k=1 entry is LP-certified, so a
+    # mask that no stage decides means a stage is wrong: classify names it
+    # rather than returning an UNKNOWN verdict.
     mask = grids["rho9"]
     monkeypatch.setattr(seplp, "decompose", lambda m: None)
-    cls = classifier.classify(mask)
-    assert cls.label is Label.UNKNOWN
-    assert cls.justification is Justification.NONE
-    k = lattice.k_matrix(mask)
-    zeros = [[mu ^ 2, nu ^ 2] for mu in range(4) for nu in range(4) if k[mu][nu] == 0]
-    assert zeros
-    assert cls.evidence == {"kappa_zero_centers": zeros}
-    assert "undecided" in classifier.explain(mask)
+    with pytest.raises(lattice.ConsistencyError, match=f"0x{mask:04X}"):
+        classifier.classify(mask)
 
 
 def test_npt_evidence():
@@ -224,38 +219,49 @@ def test_classify_every_mask_golden():
     assert digest.hexdigest() == CLASSIFY_ALL_SHA256
 
 
-def test_cross_counts_computed_once_per_classification(grids, monkeypatch):
-    # The PPT test, the witness scan and the LP's PPT guard all read the
-    # cross counts of one mask; the last-mask memo computes them once.
+def test_classify_computes_cross_counts_once_for_its_stages(grids, monkeypatch):
+    # classify hands one set of cross counts to every stage; only the
+    # public guards it calls (prop1b_entangled on the witness path, the
+    # LP's PPT test) count again.
+    counts = lattice._cross_counts
+    calls = []
+    monkeypatch.setattr(
+        lattice, "_cross_counts", lambda m: calls.append(m) or counts(m)
+    )
     rho9 = grids["rho9"]  # separable by the LP, no k=1 entry
-    for mask, justification in (
-        (rho9, Justification.LP_CERTIFICATE),
-        (0x0003, Justification.PROP1A_VIOLATION),
-        (grids["ex1_right_n10"], Justification.PROP3_WITNESS),
+    for mask, justification, expected in (
+        (0x0003, Justification.PROP1A_VIOLATION, 1),
+        (grids["ex1_right_n10"], Justification.PROP3_WITNESS, 2),
+        (rho9, Justification.LP_CERTIFICATE, 2),
     ):
-        lattice._cross_counts.cache_clear()
+        calls.clear()
         assert classifier.classify(mask).justification is justification
-        assert lattice._cross_counts.cache_info().misses == 1, hex(mask)
+        assert len(calls) == expected, hex(mask)
     # The scan reads each k=1 contributor off the cross's bitmask, so it
     # never lists the sites, with or without a k=1 entry.
     sites = lattice.sites
-    calls = []
-    monkeypatch.setattr(lattice, "sites", lambda m: calls.append(m) or sites(m))
-    assert 1 not in lattice._cross_counts(rho9)
+    listed = []
+    monkeypatch.setattr(lattice, "sites", lambda m: listed.append(m) or sites(m))
+    assert 1 not in counts(rho9)
     assert witness.witness_scan(rho9) == []
-    assert 1 in lattice._cross_counts(grids["ex1_right_n10"])
+    assert 1 in counts(grids["ex1_right_n10"])
     assert witness.witness_scan(grids["ex1_right_n10"])
-    assert calls == []
-    # The memo's entries are plain ints whichever integer type filled it.
-    for first, second in ((np.uint16(0x0F0F), 0x0F0F), (0x0F0F, np.uint16(0x0F0F))):
-        lattice._cross_counts.cache_clear()
-        lattice._cross_counts(first)
-        assert {type(c) for c in lattice._cross_counts(second)} == {int}
-    # A float equal to a cached numpy mask is refused before the memo.
-    lattice.kappa(np.uint16(3))
+    assert listed == []
+    # The counts are plain ints whichever integer type the mask was, and a
+    # float mask is refused.
+    assert counts(np.uint16(0x0F0F)) == counts(0x0F0F)
+    assert {type(c) for c in counts(np.uint16(0x0F0F))} == {int}
     for entry in (lattice.kappa, lattice.k_matrix):
         with pytest.raises(TypeError):
             entry(3.0)
+
+
+@pytest.mark.parametrize("key", ["label", "justification", "evidence"])
+def test_classification_from_json_names_a_missing_key(key):
+    payload = classifier.classify(0x0003).to_json()
+    del payload[key]
+    with pytest.raises(ValueError, match=f"no '{key}'"):
+        classifier.Classification.from_json(payload)
 
 
 def test_classification_from_json_round_trip(grids, full_census):

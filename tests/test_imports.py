@@ -261,3 +261,28 @@ def test_cli_turns_usage_errors_into_exit_2_in_main_only():
         and "error:" in node.value
     ]
     assert texts == ["error: "]
+
+
+def test_no_memo_and_one_classification_site():
+    # classify computes the cross counts once and hands them to its
+    # stages, so src/ keeps no lru_cache memo; and every verdict is built
+    # at the one Classification(...) call in classify, from _LABEL_OF.
+    memos = [
+        (path.stem, node.lineno)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (node.attr if isinstance(node, ast.Attribute)
+            else node.id if isinstance(node, ast.Name)
+            else node.name if isinstance(node, ast.alias)
+            else None) == "lru_cache"
+    ]
+    assert memos == []
+    tree = ast.parse((ROOT / "src" / "lattice16" / "classifier.py").read_text())
+    sites = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Classification"
+    ]
+    assert len(sites) == 1

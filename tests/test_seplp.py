@@ -309,3 +309,23 @@ def test_from_json_reads_masks_in_the_hex_form_only(text):
     for payload in ({**good, "target": text}, {**good, "weights": [[text, "1/1"]]}):
         with pytest.raises(ValueError, match="bad hex mask"):
             seplp.DecompositionCertificate.from_json(payload)
+
+
+@pytest.mark.parametrize(
+    "payload, match",
+    [
+        ({"weights": [["0x0033", "1/1"]]}, "no 'target'"),
+        ({"target": "0x0033"}, "no 'weights'"),
+        ({"target": "0x0033", "weights": 5}, "bad weights 5"),
+        ({"target": "0x0033", "weights": [["0x0033"]]}, r"bad weight entry \['0x0033'\]"),
+        ({"target": "0x0033", "weights": ["0x0033"]}, "bad weight entry '0x0033'"),
+        ({"target": "0x0033", "weights": [["0x0033", "1/1", "0"]]}, "bad weight entry"),
+    ],
+    ids=["no target", "no weights", "weights not a list", "short entry",
+         "entry not a list", "long entry"],
+)
+def test_from_json_names_a_missing_key_or_bad_entry(payload, match):
+    # A malformed certificate is a ValueError that says what is wrong, not
+    # a KeyError, a TypeError or an unpacking error.
+    with pytest.raises(ValueError, match=match):
+        seplp.DecompositionCertificate.from_json(payload)
