@@ -68,9 +68,12 @@ class Classification:
 
     @classmethod
     def from_json(cls, payload: dict) -> Classification:
-        """The inverse of :meth:`to_json`; ValueError on a missing key, an
-        unknown label or justification, or a label the justification does
-        not imply.  The evidence is taken as it is, unchecked."""
+        """The inverse of :meth:`to_json`; ValueError on a payload that is
+        not a JSON object, a missing key, an unknown label or justification,
+        or a label the justification does not imply.  The evidence is taken
+        as it is, unchecked."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"classification {payload!r} is not a JSON object")
         missing = sorted({"label", "justification", "evidence"} - payload.keys())
         if missing:
             raise ValueError(f"classification has no {', '.join(map(repr, missing))}")

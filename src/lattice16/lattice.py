@@ -89,9 +89,11 @@ def sites(mask: int) -> list[tuple[int, int]]:
 
 
 def _in_range(mask: int) -> int:
-    """The mask as a plain int; TypeError unless it is an integer
-    (``operator.index`` accepts numpy integers and refuses floats),
-    ValueError unless 0 <= mask <= FULL_MASK."""
+    """The mask as a plain int; TypeError unless it is an integer and
+    not a bool (``operator.index`` accepts numpy integers and refuses
+    floats and numpy bools), ValueError unless 0 <= mask <= FULL_MASK."""
+    if isinstance(mask, bool):
+        raise TypeError("a bool is not a mask")
     mask = operator.index(mask)
     if not 0 <= mask <= FULL_MASK:
         raise ValueError(f"mask {mask!r} is outside 0..0x{FULL_MASK:04X}")

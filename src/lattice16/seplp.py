@@ -76,10 +76,12 @@ class DecompositionCertificate:
 
     @classmethod
     def from_json(cls, payload: dict) -> DecompositionCertificate:
-        """The inverse of :meth:`to_json`; ValueError unless every mask is
-        written in parse_subset's hex form (0x and 1 to 4 hex digits) and
-        every weight in to_json's ``n/d`` form.  The result is not
-        verified; pass it to :func:`verify_certificate`."""
+        """The inverse of :meth:`to_json`; ValueError unless the payload is
+        a JSON object, every mask is written in parse_subset's hex form (0x
+        and 1 to 4 hex digits) and every weight in to_json's ``n/d`` form.
+        The result is not verified; pass it to :func:`verify_certificate`."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"certificate {payload!r} is not a JSON object")
         missing = sorted({"target", "weights"} - payload.keys())
         if missing:
             raise ValueError(f"certificate has no {', '.join(map(repr, missing))}")
@@ -161,8 +163,9 @@ def decompose(mask: int) -> DecompositionCertificate | None:
 def verify_certificate(cert: DecompositionCertificate) -> bool:
     """Exact check: convex weights over basis members whose mixture puts
     weight 1/N on each P_s of the target and 0 elsewhere.  Weights must
-    be ints or Fractions (TypeError otherwise: float sums round)."""
-    if not all(isinstance(w, (int, Fraction)) for w in cert.weights.values()):
+    be ints or Fractions, not bools (TypeError otherwise: float sums
+    round, and True is no weight)."""
+    if not all(type(w) in (int, Fraction) for w in cert.weights.values()):
         raise TypeError("certificate weights must be int or Fraction")
     n = lattice.cardinality(cert.target)
     if n == 0 or not cert.weights:

@@ -1,5 +1,10 @@
 """Local-unitary lattice symmetries as a permutation group on L16.
 
+A group element is the plain tuple (swap_axes, col_perm, row_perm), the
+Element below.  It sends the site (a, b) to (col_perm[a'], row_perm[b']),
+where (a', b') is (b, a) if swap_axes is set and (a, b) otherwise: the
+swap comes first.  A mask goes to the mask of its sites' images.
+
 Generators: the index-map involutions i_g(b) = g ^ b (g = 1, 2, 3)
 applied to either axis, transpositions of the nonzero labels {1,2,3}
 on either axis, and the column/row swap.  The index maps are the Klein
@@ -19,7 +24,6 @@ import numpy as np
 from . import lattice, tables
 
 __all__ = [
-    "SymmetryElement",
     "OrbitRecord",
     "generators",
     "group",
@@ -33,34 +37,7 @@ __all__ = [
     "orbit_size_table",
 ]
 
-
-@dataclass(frozen=True)
-class SymmetryElement:
-    """Action on a site (a, b): swap first (if set), then the per-axis
-    permutations: (a, b) -> (col_perm[a'], row_perm[b'])."""
-
-    col_perm: tuple[int, int, int, int]
-    row_perm: tuple[int, int, int, int]
-    swap_axes: bool = False
-
-    def apply_site(self, alpha: int, beta: int) -> tuple[int, int]:
-        if self.swap_axes:
-            alpha, beta = beta, alpha
-        return self.col_perm[alpha], self.row_perm[beta]
-
-    def site_map(self) -> tuple[int, ...]:
-        """Bit-position image table: site 4a+b -> 4a'+b', that is
-        apply_site(a, b) for every site in bit-position order."""
-        return self._site_map
-
-    # Kept on the instance (elements are immutable), so that act reads it
-    # without hashing the element.
-    @functools.cached_property
-    def _site_map(self) -> tuple[int, ...]:
-        cols, rows = self.col_perm, self.row_perm
-        if self.swap_axes:  # site (a, b) reads (b, a): the outer loop runs over a
-            return tuple([4 * c + r for r in rows for c in cols])
-        return tuple([4 * c + r for c in cols for r in rows])
+Element = tuple[bool, tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -80,18 +57,18 @@ class OrbitRecord:
 _ID_PERM = (0, 1, 2, 3)
 
 
-def generators() -> list[SymmetryElement]:
+def generators() -> list[Element]:
     gens = []
     for g in (1, 2, 3):
         inv = tuple(g ^ b for b in range(4))
-        gens.append(SymmetryElement(inv, _ID_PERM, False))
-        gens.append(SymmetryElement(_ID_PERM, inv, False))
+        gens.append((False, inv, _ID_PERM))
+        gens.append((False, _ID_PERM, inv))
     for i, j in ((1, 2), (1, 3), (2, 3)):
         perm = list(_ID_PERM)
         perm[i], perm[j] = perm[j], perm[i]
-        gens.append(SymmetryElement(tuple(perm), _ID_PERM, False))
-        gens.append(SymmetryElement(_ID_PERM, tuple(perm), False))
-    gens.append(SymmetryElement(_ID_PERM, _ID_PERM, True))
+        gens.append((False, tuple(perm), _ID_PERM))
+        gens.append((False, _ID_PERM, tuple(perm)))
+    gens.append((True, _ID_PERM, _ID_PERM))
     return gens
 
 
@@ -99,31 +76,34 @@ _PERMS = tuple(permutations(range(4)))
 
 
 @functools.cache
-def group() -> list[SymmetryElement]:
+def group() -> list[Element]:
     """Every column permutation times every row permutation, with and
-    without the axis swap: (S4 x S4) x| Z2, order 1152, sorted by
-    (swap_axes, col_perm, row_perm), each permutation in
-    itertools.permutations order.  The tests derive it as the closure
-    of generators()."""
-    order = product((False, True), _PERMS, _PERMS)
-    return [SymmetryElement(col, row, swap) for swap, col, row in order]
+    without the axis swap: (S4 x S4) x| Z2, order 1152, as the tuples of
+    product((False, True), perms, perms) in itertools.permutations
+    order.  The tests derive it as the closure of generators()."""
+    return list(product((False, True), _PERMS, _PERMS))
 
 
-def act(g: SymmetryElement, mask: int) -> int:
-    """The image of the mask under g; ValueError unless 0 <= mask <= FULL_MASK."""
+def act(g: Element, mask: int) -> int:
+    """The image of the mask under g, site by site as the module
+    docstring states; ValueError unless 0 <= mask <= FULL_MASK."""
+    swap_axes, col_perm, row_perm = g
     mask = lattice._in_range(mask)
     out = 0
-    table = g.site_map()
     while mask:
         low = mask & -mask  # the lowest set bit
-        out |= 1 << table[low.bit_length() - 1]
+        a, b = divmod(low.bit_length() - 1, 4)
+        if swap_axes:
+            a, b = b, a
+        out |= 1 << 4 * col_perm[a] + row_perm[b]
         mask ^= low
     return out
 
 
 def _group_site_maps() -> np.ndarray:
-    """[el.site_map() for el in group()] as an int64 array of shape
-    (1152, 16), built by broadcasting over the 24 permutations."""
+    """The image site 4a'+b' of every site 4a+b under every element of
+    group(): an int64 array of shape (1152, 16), built by broadcasting
+    over the 24 permutations."""
     perms = np.array(_PERMS)
     # plain[c, r, a, b] = 4 col_perm[a] + row_perm[b]; the swap reads (b, a).
     plain = 4 * perms[:, None, :, None] + perms[None, :, None, :]
@@ -136,8 +116,8 @@ def _group_byte_tables() -> tuple[np.ndarray, np.ndarray]:
     tables of shape (256, 1152): lo[v, i] is the image of the low byte v
     under element i and hi[v, i] that of the high byte, so element i
     sends mask m to lo[m & 0xFF, i] | hi[m >> 8, i].  Built by
-    tables.byte_sums from the bits 1 << site_map[s]; the bits of one
-    element are distinct, so each sum is an OR."""
+    tables.byte_sums from the one-hot images 1 << _group_site_maps(); the
+    bits of one element are distinct, so each sum is an OR."""
     return tables.byte_sums((np.uint16(1) << _group_site_maps().astype(np.uint16)).T)
 
 
@@ -182,7 +162,7 @@ def _first_mapping(images: np.ndarray, target: int) -> int:
     return first
 
 
-def find_mapping(source: int, target: int) -> SymmetryElement:
+def find_mapping(source: int, target: int) -> Element:
     """The first element g of group() with act(g, source) == target."""
     return group()[_first_mapping(_orbit_images(source), target)]
 

@@ -264,6 +264,17 @@ def test_classification_from_json_names_a_missing_key(key):
         classifier.Classification.from_json(payload)
 
 
+@pytest.mark.parametrize("payload", [[], "x", None, 5], ids=repr)
+def test_json_readers_refuse_a_payload_that_is_not_an_object(payload):
+    # payload.keys() used to raise AttributeError on [] and "x".
+    for reader in (
+        classifier.Classification.from_json,
+        seplp.DecompositionCertificate.from_json,
+    ):
+        with pytest.raises(ValueError, match="not a JSON object"):
+            reader(payload)
+
+
 def test_classification_from_json_round_trip(grids, full_census):
     found = [classifier.classify(mask) for mask in grids.values()]
     found += [

@@ -286,3 +286,21 @@ def test_no_memo_and_one_classification_site():
         and node.func.id == "Classification"
     ]
     assert len(sites) == 1
+
+
+def test_symmetry_keeps_the_group_as_plain_tuples():
+    # A group element is the tuple (swap_axes, col_perm, row_perm) that
+    # act reads.  A class of elements with its own site action, or a
+    # cached_property memo of one, would be a second encoding of the
+    # action beside act and the byte tables.
+    tree = ast.parse((ROOT / "src" / "lattice16" / "symmetry.py").read_text())
+    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert classes == ["OrbitRecord"]
+    names = {
+        node.attr if isinstance(node, ast.Attribute)
+        else node.id if isinstance(node, ast.Name)
+        else node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name, ast.alias))
+    }
+    assert "cached_property" not in names

@@ -288,3 +288,19 @@ def test_float_mask_is_a_type_error(entry):
     with pytest.raises(TypeError):
         entry(3.0)
     assert entry(np.uint16(3)) == entry(3)
+
+
+def test_bool_mask_is_a_type_error():
+    # operator.index(True) is 1, so classify(True) used to classify the
+    # mask 0x0001; operator.index refuses numpy bools itself.
+    g = symmetry.generators()[0]
+    for entry in (
+        lattice.cardinality,
+        lattice.is_ppt,
+        classifier.classify,
+        symmetry.canonical,
+        lambda mask: symmetry.act(g, mask),
+    ):
+        for mask in (True, False, np.True_):
+            with pytest.raises(TypeError, match="bool"):
+                entry(mask)

@@ -150,6 +150,13 @@ def test_verify_refuses_float_weights():
     assert seplp.verify_certificate(seplp.DecompositionCertificate(0x00FF, exact))
 
 
+def test_verify_refuses_bool_weights():
+    # True == 1, so the weight True used to verify as the rectangle 0x0033.
+    assert seplp.verify_certificate(seplp.DecompositionCertificate(0x0033, {0x0033: 1}))
+    with pytest.raises(TypeError):
+        seplp.verify_certificate(seplp.DecompositionCertificate(0x0033, {0x0033: True}))
+
+
 def test_census_certificates_reconstruct_their_states():
     # verify_certificate checks the per-site identities only, which is a
     # proof because the P_s are orthonormal.  Here every LP certificate

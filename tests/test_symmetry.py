@@ -1,39 +1,40 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from generator_unitaries import verify_generator_numerically
+from generator_unitaries import site_image, verify_generator_numerically
 from lattice16 import lattice, symmetry
 
 random.seed(11)
 
-IDENTITY = symmetry.SymmetryElement((0, 1, 2, 3), (0, 1, 2, 3), False)
-# Every site (a, b), in bit-position order 4a+b.
-SITES = list(itertools.product(range(4), repeat=2))
+IDENTITY = (False, (0, 1, 2, 3), (0, 1, 2, 3))
 
 
 def compose(g, h):
     """g after h."""
-    pc, pr = h.col_perm, h.row_perm
-    if g.swap_axes:
+    g_swap, g_cols, g_rows = g
+    h_swap, pc, pr = h
+    if g_swap:
         pc, pr = pr, pc
-    return symmetry.SymmetryElement(
-        tuple([g.col_perm[i] for i in pc]),
-        tuple([g.row_perm[i] for i in pr]),
-        g.swap_axes != h.swap_axes,
+    return (
+        g_swap != h_swap,
+        tuple([g_cols[i] for i in pc]),
+        tuple([g_rows[i] for i in pr]),
     )
 
 
 def inverse(g):
+    swap, cols, rows = g
     inv_c = [0] * 4
     inv_r = [0] * 4
     for i in range(4):
-        inv_c[g.col_perm[i]] = i
-        inv_r[g.row_perm[i]] = i
-    if not g.swap_axes:
-        return symmetry.SymmetryElement(tuple(inv_c), tuple(inv_r), False)
-    return symmetry.SymmetryElement(tuple(inv_r), tuple(inv_c), True)
+        inv_c[cols[i]] = i
+        inv_r[rows[i]] = i
+    if not swap:
+        return (False, tuple(inv_c), tuple(inv_r))
+    return (True, tuple(inv_r), tuple(inv_c))
 
 
 def test_generator_count_and_involutions():
@@ -62,13 +63,12 @@ def test_generators_generate_the_group():
                     seen.add(cand)
                     nxt.append(cand)
         frontier = nxt
-    closure = sorted(seen, key=lambda e: (e.swap_axes, e.col_perm, e.row_perm))
-    assert closure == symmetry.group()
+    assert sorted(seen) == symmetry.group()
 
 
 def test_group_closure_and_inverses():
     grp = set(symmetry.group())
-    sample = random.sample(sorted(grp, key=str), 40)
+    sample = random.sample(sorted(grp), 40)
     for g in sample:
         assert inverse(g) in grp
         assert compose(g, inverse(g)) == IDENTITY
@@ -82,8 +82,8 @@ def test_compose_matches_site_action():
         g = random.choice(grp)
         h = random.choice(grp)
         gh = compose(g, h)
-        for a, b in ((0, 0), (1, 3), (2, 2), (3, 1)):
-            assert gh.apply_site(a, b) == g.apply_site(*h.apply_site(a, b))
+        for p in (0, 7, 10, 13):
+            assert site_image(gh, p) == site_image(g, site_image(h, p))
 
 
 def test_act_is_group_action():
@@ -112,17 +112,12 @@ def test_action_preserves_invariants():
 
 
 def test_group_site_maps_and_byte_tables():
-    # The broadcast site maps and the doubled byte tables against the
-    # per-element site_map() and act(), which stay the reference; and
-    # site_map() against apply_site(), site by site.
+    # The broadcast site maps and the doubled byte tables against act,
+    # which stays the reference.
     grp = symmetry.group()
-    for el in grp:
-        assert el.site_map() == tuple(
-            4 * x + y for x, y in itertools.starmap(el.apply_site, SITES)
-        )
     maps = symmetry._group_site_maps()
     assert maps.shape == (1152, 16)
-    assert maps.tolist() == [list(el.site_map()) for el in grp]
+    assert maps.tolist() == [[site_image(el, p) for p in range(16)] for el in grp]
     lo, hi = symmetry._group_byte_tables()
     masks = [1 << pos for pos in range(16)] + [0x00FF, 0xFF00, lattice.FULL_MASK]
     masks += random.Random(200).sample(range(lattice.FULL_MASK + 1), 200)
@@ -212,12 +207,35 @@ def test_carry_and_canonical_refuse_bad_masks():
 
 def test_group_is_ordered_by_swap_then_col_then_row():
     # The byte tables index elements in this order: i = 576 swap + 24 col + row.
-    grp = symmetry.group()
     perms = list(itertools.permutations(range(4)))
-    order = list(itertools.product((False, True), perms, perms))
-    assert len(grp) == len(order)
-    for i, (swap, col, row) in enumerate(order):
-        assert (grp[i].swap_axes, grp[i].col_perm, grp[i].row_perm) == (swap, col, row)
+    assert symmetry.group() == list(itertools.product((False, True), perms, perms))
+
+
+# Read from the (swap_axes, col_perm, row_perm) fields of the group
+# elements before they became plain tuples: the sha256 of repr() of the
+# 1,152 elements in order, and of repr() of the images of PIN_MASKS under
+# every element, element-major.
+PIN_MASKS = [1 << p for p in range(16)] + [0, 0x0033, 0x0F0F, 0x1236, 0x8421, 0xFFFF]
+PIN_MASKS += random.Random(33).sample(range(lattice.FULL_MASK + 1), 32)
+GROUP_SHA256 = "386b82836db0faf5f6d67bb95c9e38998f40cf7e4a47cc6f84a76f4d82d410fb"
+IMAGES_SHA256 = "c7e0e2963632b7eefb302b8eb5e8a388d9b85fb12fed42efb9fac57eccc18b7d"
+
+
+def test_group_generators_and_act_are_pinned():
+    # find_mapping and carry pick the first element in group order, and
+    # the generators are the published ones: neither may drift.
+    ident, swap = (0, 1, 2, 3), (True, (0, 1, 2, 3), (0, 1, 2, 3))
+    involutions = [(1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+    transpositions = [(0, 2, 1, 3), (0, 3, 2, 1), (0, 1, 3, 2)]
+    assert symmetry.generators() == [
+        el
+        for perm in involutions + transpositions
+        for el in ((False, perm, ident), (False, ident, perm))
+    ] + [swap]
+    grp = symmetry.group()
+    assert hashlib.sha256(repr(grp).encode()).hexdigest() == GROUP_SHA256
+    images = [symmetry.act(g, m) for g in grp for m in PIN_MASKS]
+    assert hashlib.sha256(repr(images).encode()).hexdigest() == IMAGES_SHA256
 
 
 def test_find_mapping_recovers_every_element():

@@ -4,6 +4,7 @@ against the group action itself."""
 
 import numpy as np
 
+from generator_unitaries import site_image
 from lattice16 import dense, lattice, symmetry, tables
 
 ALL = lattice.FULL_MASK + 1
@@ -55,11 +56,11 @@ def test_whole_space_tables_are_column_major():
         assert table.flags.c_contiguous
 
 
-def _image(site_map: tuple[int, ...], masks: np.ndarray) -> np.ndarray:
-    """The image of every mask under one site map, bit by bit."""
+def _image(g: symmetry.Element, masks: np.ndarray) -> np.ndarray:
+    """The image of every mask under one group element, bit by bit."""
     out = np.zeros_like(masks)
-    for pos, target in enumerate(site_map):
-        out |= (masks >> pos & 1) << target
+    for pos in range(16):
+        out |= (masks >> pos & 1) << site_image(g, pos)
     return out
 
 
@@ -92,10 +93,12 @@ def test_byte_and_mask_sums_match_a_bit_loop():
     # One-hot site images: distinct sites set distinct bits, so the sum
     # of a group element's images is the image itself, an OR of bits.
     elements = symmetry.group()[::97]
-    maps = np.array([g.site_map() for g in elements], dtype=np.uint16)
+    maps = np.array(
+        [[site_image(g, p) for p in range(16)] for g in elements], dtype=np.uint16
+    )
     images = _check_byte_and_mask_sums((np.uint16(1) << maps).T)
     for g, column in zip(elements, images.T):
-        assert np.array_equal(column, _image(g.site_map(), tables.masks()))
+        assert np.array_equal(column, _image(g, tables.masks()))
     # bool weights count as uint8 rather than OR-ing.
     assert np.array_equal(tables.mask_sums(tables.CROSS.astype(bool)), tables.k_table())
 
@@ -106,7 +109,7 @@ def test_canonical_table_is_the_orbit_minimum():
     assert canon.dtype == np.uint16
     assert (canon <= masks).all()
     for g in symmetry.generators():
-        assert np.array_equal(canon[_image(g.site_map(), masks)], canon)
+        assert np.array_equal(canon[_image(g, masks)], canon)
     reps = np.flatnonzero(canon == masks)
     assert reps[0] == 0 and len(reps) == 192  # the empty mask and 191 orbits
     sizes = symmetry.orbit_size_table()
