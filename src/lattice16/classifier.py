@@ -185,7 +185,9 @@ def _classify_record(canonical: int, orbit_size: int) -> CensusRecord:
 def census(min_n: int = 1, max_n: int = 16) -> list[CensusRecord]:
     """Classify one representative per symmetry orbit, deterministically
     ordered by (cardinality, canonical mask), for min_n <= N <= max_n;
-    TypeError unless both bounds are integers."""
+    TypeError unless both bounds are integers and neither is a bool."""
+    if isinstance(min_n, bool) or isinstance(max_n, bool):
+        raise TypeError("a bool is not a census bound")
     min_n, max_n = operator.index(min_n), operator.index(max_n)
     if not 1 <= min_n <= max_n <= 16:
         raise UsageError(f"census range {min_n}..{max_n}: need 1 <= min <= max <= 16")

@@ -13,9 +13,9 @@ partially transposed projector is exactly +-1/4 sum_mn P_mn, so on
 psi_mn 4N rho_I^Gamma has the eigenvalue 2 |I & P+_mn| - N, where P+_mn
 is the set of sites whose sign is +1; the closed form says it is
 N - 2 k_mn.  The sweep proves the 16 identities in exact (dyadic) float
-arithmetic, counts |I & P+_mn| for every mask from two byte tables, and
-checks the spectrum, the PPT flag and the k=1 witness value of every
-mask with integer equality.
+arithmetic and checks the spectrum, the PPT flag and the k=1 witness
+value of every mask with integer equality, streaming |I & P+_mn| and
+k_mn one 64 KB column mn at a time from :func:`tables.column_sums`.
 
 Phi_V[B] = Tr(B) I_4 - B - V B^T V* is defined once, by :func:`phi_v`;
 :func:`apply_id_tensor_phi` applies it through its 16x16 matrix, built
@@ -125,8 +125,9 @@ def pt_min_eigenvalues_all() -> np.ndarray:
 
     Index i of the result corresponds to mask i + 1.
     """
-    # int64 first: the counts are uint8 and 2 * pos - n can be negative.
-    pos = _positive_counts()[1:].min(axis=1).astype(np.int64)
+    # The minimum over the columns mn; int64 next: 2 * pos - n can be < 0.
+    pos = functools.reduce(np.minimum, tables.column_sums(_pt_signs() > 0))
+    pos = pos[1:].astype(np.int64)
     n = tables.cardinality()[1:].astype(np.int64)
     return (2 * pos - n) / (4.0 * n)
 
@@ -188,7 +189,8 @@ def _tilde_diagonal(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _witness_values() -> tuple[np.ndarray, np.ndarray]:
     """(masks, N * dense values) for every k=1 site of every PPT mask, one
-    entry per (mask, site), with the contributor and V of witness_scan.
+    entry per (mask, site) in site order, with the contributor and V of
+    witness_scan.
 
     Column p of the weight table is one (site mn, contributor c) pair,
     c on the cross through (mu+2, nu+2): row s is the dense value of P_s
@@ -199,34 +201,30 @@ def _witness_values() -> tuple[np.ndarray, np.ndarray]:
     """
     on_cross = tables.CROSS.T  # [mn, s]
     sites_of, contributors = np.nonzero(on_cross)
-    # The last column stays 0: a (site, contributor) pair off the cross.
-    per_slot, weight = {}, np.zeros((16, len(sites_of) + 1))
-    pair = np.full((16, 16), len(sites_of))  # pair[mn, c]: a column of weight
-    for p, (mn, c) in enumerate(zip(sites_of.tolist(), contributors.tolist())):
-        mu, nu = divmod(mn, 4)
-        slot = witness.canonical_slot(divmod(c, 4), (mu ^ 2, nu ^ 2))
-        if slot not in per_slot:
-            per_slot[slot] = _tilde_diagonal(projector_stack(), _slot_v(*slot))
-        weight[:, p] = per_slot[slot][:, mu, nu]
-        pair[mn, c] = p
+    slots = [
+        witness.canonical_slot(divmod(c, 4), (mn // 4 ^ 2, mn % 4 ^ 2))
+        for mn, c in zip(sites_of.tolist(), contributors.tolist())
+    ]
+    index = {slot: i for i, slot in enumerate(dict.fromkeys(slots))}
+    # diag[i, s, mn]: the dense value of P_s at site mn under slot i.  The
+    # last column of weight stays 0: a (site, contributor) pair off the cross.
+    diag = np.stack([_tilde_diagonal(projector_stack(), _slot_v(*x)) for x in index])
+    weight = np.zeros((16, len(slots) + 1))
+    weight[:, :-1] = diag.reshape(-1, 16, 16)[[index[x] for x in slots], :, sites_of].T
+    pair = np.full((16, 16), len(slots))  # pair[mn, c]: a column of weight
+    pair[sites_of, contributors] = np.arange(len(slots))
     lo, hi = tables.byte_sums(weight)
     # On a mask with one bit, the byte sums of the site indices read its site.
     site_lo, site_hi = tables.byte_sums(np.arange(16))
-    ppt = np.flatnonzero(tables.ppt())
-    rows, sites = np.nonzero(tables.k_table()[ppt] == 1)
-    masks = ppt[rows]
+    ppt = tables.ppt()
+    picked = [np.flatnonzero(ppt & (k == 1)) for k in tables.column_sums(tables.CROSS)]
+    masks = np.concatenate(picked)
+    sites = np.repeat(np.arange(16), [len(m) for m in picked])
     # The contributor is the lowest (at k = 1 the only) bit of I on the cross.
     point = masks & (on_cross.astype(np.int64) << np.arange(16)).sum(axis=1)[sites]
     point &= -point
     cols = pair[sites, site_lo[point & 0xFF] + site_hi[point >> 8]]
     return masks, lo[masks & 0xFF, cols] + hi[masks >> 8, cols]
-
-
-def _positive_counts() -> np.ndarray:
-    """(65536, 16) uint8 table |I & P+_mn|, row m for mask m, stored
-    column-major: the :func:`tables.mask_sums` of the + signs of
-    :func:`_pt_signs`."""
-    return tables.mask_sums(_pt_signs() > 0)
 
 
 def oracle_sweep() -> dict:
@@ -241,30 +239,34 @@ def oracle_sweep() -> dict:
 
     Returns a report dict; ``report["disagreements"]`` is empty on success.
     """
-    # Index i below is mask i + 1; pos[i, mn] is |I & P+_mn|.
-    pos = _positive_counts()[1:]
-    n = tables.cardinality()[1:]
-    # uint8 arithmetic wraps mod 256, but pos <= n <= 16 (pos counts
-    # sites of I), so pos + k == n holds mod 256 only if k == n - pos
-    # exactly.  The XOR is 0 exactly where it holds, so a mask's row
-    # maximum is 0 exactly when all 16 of its counts agree.
-    off = pos + tables.k_table()[1:]
-    off ^= n[:, None]  # in place: no second 1 MiB table to allocate
+    n = tables.cardinality()
+    # Over the columns mn: the minimum of pos = |I & P+_mn| and the OR of
+    # (pos + k) ^ n.  uint8 wraps mod 256, but pos <= n <= 16, so pos + k
+    # == n mod 256 only if k == n - pos exactly: the XOR is 0 exactly
+    # there, and a mask's OR is 0 exactly when all 16 counts agree.
+    least, off = np.full_like(n, 16), np.zeros_like(n)
+    signs, cross = tables.column_sums(_pt_signs() > 0), tables.column_sums(tables.CROSS)
+    for pos, k in zip(signs, cross):
+        np.minimum(least, pos, out=least)
+        pos += k  # in place: each column is a fresh array
+        pos ^= n
+        off |= pos
+    # Index i below is mask i + 1.
     checks = (
-        ("ppt_sign", tables.ppt()[1:] != (2 * pos.min(axis=1) >= n)),
-        ("spectrum", off.max(axis=1) != 0),
+        ("ppt_sign", tables.ppt()[1:] != (2 * least[1:] >= n[1:])),
+        ("spectrum", off[1:] != 0),
     )
-    del off  # 1 MiB, not kept through the witness pass
     disagreements = [
         (kind, int(i) + 1) for kind, bad in checks for i in np.flatnonzero(bad)
     ]
+    del least, off, checks  # not kept through the witness pass
     witnessed, values = _witness_values()
     # sorted(set()) rather than np.unique, which imports numpy.ma.
     failed = witnessed[values != -0.5].tolist()
     disagreements += [("witness", m) for m in sorted(set(failed))]
     return {
-        "masks_swept": len(pos),
-        "spectra_checked": len(pos),
+        "masks_swept": len(n) - 1,
+        "spectra_checked": len(n) - 1,
         "witnesses_checked": len(values),
         "disagreements": disagreements,
     }

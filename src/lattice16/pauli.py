@@ -38,7 +38,8 @@ def pauli(alpha: int) -> np.ndarray:
 
 @cache
 def sigma_pair(alpha: int, beta: int) -> np.ndarray:
-    """The 4x4 tensor product s_alpha (x) s_beta (cached, read-only)."""
-    m = np.kron(_SIGMA[alpha], _SIGMA[beta])
+    """The 4x4 tensor product s_alpha (x) s_beta (cached, read-only):
+    entry (2i + k, 2j + l) is s_alpha[i, j] * s_beta[k, l]."""
+    m = (_SIGMA[alpha][:, None, :, None] * _SIGMA[beta][None, :, None, :]).reshape(4, 4)
     m.setflags(write=False)
     return m

@@ -76,12 +76,12 @@ _PERMS = tuple(permutations(range(4)))
 
 
 @functools.cache
-def group() -> list[Element]:
-    """Every column permutation times every row permutation, with and
-    without the axis swap: (S4 x S4) x| Z2, order 1152, as the tuples of
-    product((False, True), perms, perms) in itertools.permutations
-    order.  The tests derive it as the closure of generators()."""
-    return list(product((False, True), _PERMS, _PERMS))
+def group() -> tuple[Element, ...]:
+    """(S4 x S4) x| Z2, order 1152: every column permutation times every
+    row permutation, with and without the axis swap, as one shared tuple
+    of product((False, True), perms, perms) in permutations order.  The
+    tests derive it as the closure of generators()."""
+    return tuple(product((False, True), _PERMS, _PERMS))
 
 
 def act(g: Element, mask: int) -> int:

@@ -1,29 +1,30 @@
 """The lattice combinatorics of every mask at once, as numpy arrays.
 
 Index m of each array is the mask m, for all 2^16 masks including the
-empty one.  Each array is built once, on first use, and is read-only.
-N and k are :func:`mask_sums` of a 16-row weight table, one row per
-site; ``dense`` and ``symmetry`` build their byte tables the same way.
-A 2-D whole-space table such as k, of shape (65536, 16), is stored
-column-major: a mask's 16 entries lie 65,536 apart, so a reduction
-over them (the PPT test's ``max(axis=1)``, the sweep's ``min`` and
-count checks) is elementwise over whole contiguous columns rather than
-a short reduction per row.  The 256-row byte tables of
-:func:`byte_sums` stay row-major, one contiguous row per byte.
-The scalar functions of :mod:`lattice16.lattice` define the same
-quantities one mask at a time; they stay the public API and the
-reference these tables are tested against.
+empty one.  Each cached array is built once, on first use, and is
+read-only.  Every count sums a 16-row weight table, one row per site,
+over the sites of each mask; ``dense`` and ``symmetry`` build their
+byte tables the same way.  No 2-D whole-space table is kept: a weight
+table with c columns, such as the 16 of k, is streamed by
+:func:`column_sums` one column of 65,536 entries at a time.  N is the
+one column of a 1 per site, the PPT flag a running maximum over k's
+columns, and ``verify`` keeps running counts.  The 256-row byte tables
+of :func:`byte_sums` stay row-major, one contiguous row per byte.  The
+scalar functions of :mod:`lattice16.lattice` define the same quantities
+one mask at a time; they stay the public API and the reference these
+tables are tested against.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 
 import numpy as np
 
 from . import lattice
 
-__all__ = ["CROSS", "byte_sums", "mask_sums", "masks", "cardinality", "k_table", "ppt"]
+__all__ = ["CROSS", "byte_sums", "column_sums", "masks", "cardinality", "ppt"]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -54,21 +55,15 @@ def byte_sums(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def mask_sums(weights: np.ndarray) -> np.ndarray:
-    """The sum of weights[s] over the sites s of every mask: row m for
-    mask m, the outer sum of the two byte tables of :func:`byte_sums`.
-
-    A 2-D result of shape (65536, c) is stored column-major: column j
-    is one contiguous run of 65,536 entries, and the entries of one mask
-    lie 65,536 apart.  So a reduction over a mask's entries
-    (``max(axis=1)``, ``any(axis=1)``) runs elementwise over whole
-    contiguous columns.  A 1-D weight table gives a 1-D result."""
-    lo, hi = byte_sums(weights)
-    # Outer-sum contiguous (c, 256) transposes: numpy lays a result out
-    # in its inputs' memory order, so bare transposes give a row-major
-    # table again.
-    lo, hi = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
-    return (hi[..., :, None] + lo[..., None, :]).reshape(*lo.shape[:-1], -1).T
+def column_sums(weights: np.ndarray) -> Iterator[np.ndarray]:
+    """For each column j of a (16, c) weight table, in order, the sum of
+    weights[s, j] over the sites s of every mask: a fresh 1-D array, entry
+    m for mask m, the outer sum of two contiguous 256-entry rows of the
+    transposed byte tables (64 KB for a byte weight).  The caller keeps
+    running results, never a (65536, c) table."""
+    lo, hi = (np.ascontiguousarray(t.T) for t in byte_sums(weights))
+    for lo_j, hi_j in zip(lo, hi):
+        yield (hi_j[:, None] + lo_j).ravel()
 
 
 @functools.cache
@@ -80,17 +75,8 @@ def masks() -> np.ndarray:
 @functools.cache
 def cardinality() -> np.ndarray:
     """N = |I| of every mask (uint8)."""
-    return _frozen(mask_sums(np.ones(16, dtype=np.uint8)))
-
-
-@functools.cache
-def k_table() -> np.ndarray:
-    """The k-matrix of every mask (uint8, shape (65536, 16), column-major).
-
-    Column 4*mu + nu is k[mu][nu]: the cross count through the shifted
-    site (mu+2, nu+2), as in :func:`lattice.k_matrix`.
-    """
-    return _frozen(mask_sums(CROSS))
+    (n,) = column_sums(np.ones((16, 1), dtype=np.uint8))
+    return _frozen(n)
 
 
 @functools.cache
@@ -98,7 +84,8 @@ def ppt() -> np.ndarray:
     """The PPT flag of every mask (bool): 2 * cross_count(mask, a, b) <= N
     at every site (a, b).  False for the empty mask, which defines no
     state."""
-    # A cross holds 6 sites, so 2k <= 12: no uint8 wrap.
-    flag = 2 * k_table().max(axis=1) <= cardinality()
+    # The running maximum of k's 16 columns; a cross holds 6 sites, so
+    # 2k <= 12: no uint8 wrap.
+    flag = 2 * functools.reduce(np.maximum, column_sums(CROSS)) <= cardinality()
     flag[0] = False
     return _frozen(flag)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import whole_space
 from lattice16 import classifier, lattice, seplp, symmetry, tables, witness
 from lattice16.classifier import Justification, Label
 
@@ -102,7 +103,7 @@ def test_census_invariant_over_tables(full_census):
     # mask from the integer tables alone, with no symmetry reduction.
     n = tables.cardinality()
     ppt = tables.ppt()
-    witnessed = ppt & (n < 15) & (tables.k_table() == 1).any(axis=1)
+    witnessed = ppt & (n < 15) & (whole_space.k_table() == 1).any(axis=1)
     assert int(witnessed.sum()) == 2688
     codes = [Label.NPT_ENTANGLED, Label.PPT_ENTANGLED, Label.SEPARABLE, Label.UNKNOWN]
     expected = np.where(~ppt, 0, np.where(witnessed, 1, 2))[1:]
@@ -126,7 +127,7 @@ def test_lattice_rule_decides_ppt_masks_below_15(full_census):
     # an exact LP certificate.  Each mask takes its orbit's verdict.
     n = tables.cardinality()
     chosen = tables.ppt() & (n <= 14)
-    has_k1 = (tables.k_table()[chosen] == 1).any(axis=1).tolist()
+    has_k1 = (whole_space.k_table()[chosen] == 1).any(axis=1).tolist()
     verdict = {r.canonical: (r.label, r.justification) for r in full_census}
     verdicts = [verdict[c] for c in symmetry.canonical_table()[chosen].tolist()]
     assert len(verdicts) == 11406 and sum(has_k1) == 2688
@@ -163,6 +164,14 @@ def test_census_rejects_range_outside_1_to_16(min_n, max_n):
 def test_census_rejects_float_bounds(min_n, max_n):
     # As every mask entry point does: 15.5 is no cardinality.
     with pytest.raises(TypeError):
+        classifier.census(min_n=min_n, max_n=max_n)
+
+
+@pytest.mark.parametrize("min_n, max_n", [(True, 1), (1, True), (False, 16)])
+def test_census_rejects_bool_bounds(min_n, max_n):
+    # As lattice._in_range refuses a bool mask: census(True, 1) is not the
+    # range 1..1.
+    with pytest.raises(TypeError, match="bool"):
         classifier.census(min_n=min_n, max_n=max_n)
 
 

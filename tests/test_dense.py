@@ -12,6 +12,7 @@ from admissible_v import (
     random_admissible_v,
 )
 import bell_basis
+import whole_space
 from diag_states import build_diag_state
 from lattice16 import cli, dense, lattice, pauli, tables, witness
 
@@ -48,7 +49,7 @@ def _gathered_witness_values():
         out = _blockwise_phi(v, dense.projector_stack())
         weight[c, mn] = (w.conj() * (out @ w)).sum(axis=-2).real[:, mn]
     ppt = np.flatnonzero(tables.ppt())
-    rows, sites = np.nonzero(tables.k_table()[ppt] == 1)
+    rows, sites = np.nonzero(whole_space.k_table()[ppt] == 1)
     masks = ppt[rows]
     bits = _bits(masks)
     contributor = np.argmax(bits & on_cross[sites], axis=1)
@@ -345,24 +346,39 @@ def test_oracle_sweep_reports_perturbed_slot_entry(monkeypatch):
     assert reads and report["disagreements"] == [("witness", m) for m in sorted(set(reads))]
 
 
+def _patch_k(monkeypatch, entries):
+    """Make tables.column_sums yield k's columns with k[mask, mn] set to
+    value for each (mask, mn): value of entries; other weight tables
+    pass through unchanged."""
+    column_sums = tables.column_sums
+
+    def patched(weights):
+        for mn, column in enumerate(column_sums(weights)):
+            if weights is tables.CROSS:
+                for (mask, site), value in entries.items():
+                    if site == mn:
+                        column[mask] = value
+            yield column
+
+    monkeypatch.setattr(tables, "column_sums", patched)
+
+
 def test_oracle_sweep_reports_broken_tables(monkeypatch):
     ppt = tables.ppt().copy()
     ppt[0x1357] = not ppt[0x1357]
-    k = tables.k_table().copy()
-    k[0x0F0F, 5] += 1
     monkeypatch.setattr(tables, "ppt", lambda: ppt)
-    monkeypatch.setattr(tables, "k_table", lambda: k)
+    _patch_k(monkeypatch, {(0x0F0F, 5): whole_space.k_table()[0x0F0F, 5] + 1})
     report = dense.oracle_sweep()
     assert report["disagreements"] == [("ppt_sign", 0x1357), ("spectrum", 0x0F0F)]
 
 
 def test_oracle_sweep_reports_k_table_claiming_one(monkeypatch):
-    # A k-table entry of 1 where the cross holds no point of I, or two,
-    # gives the witness pass no single contributor.  It reads the value
-    # 0 there (no weight column, or the lowest point's, which absorbs
-    # that point and counts the two cross points at 1/2 each) and the
-    # sweep reports the mask rather than fail.
-    k = tables.k_table().copy()
+    # A k entry of 1 where the cross holds no point of I, or two, gives
+    # the witness pass no single contributor.  It reads the value 0
+    # there (no weight column, or the lowest point's, which absorbs that
+    # point and counts the two cross points at 1/2 each) and the sweep
+    # reports the mask rather than fail.
+    k = whole_space.k_table().copy()
     ppt = np.flatnonzero(tables.ppt())
     broken = []
     for true_k in (0, 2):
@@ -376,9 +392,11 @@ def test_oracle_sweep_reports_k_table_claiming_one(monkeypatch):
         )
         k[mask, mn] = 1
         broken.append((mask, mn))
-    monkeypatch.setattr(tables, "k_table", lambda: k)
+    _patch_k(monkeypatch, dict.fromkeys(broken, 1))
     masks, values = dense._witness_values()
-    sites = np.nonzero(k[ppt] == 1)[1]
+    # The k=1 entries come site by site, each site's masks ascending.
+    sites, rows = np.nonzero(k[ppt].T == 1)
+    assert masks.tolist() == ppt[rows].tolist()
     for mask, mn in broken:
         assert values[(masks == mask) & (sites == mn)].tolist() == [0.0]
     report = dense.oracle_sweep()
@@ -391,7 +409,7 @@ def test_positive_counts_equal_sign_product():
     # The int64 product bits @ signs is 4N rho_I^Gamma on each psi_mn, and
     # 2 |I & P+_mn| - N by the +-1 signs; the byte tables count the same.
     masks = tables.masks()
-    pos = dense._positive_counts()
+    pos = whole_space.stacked(dense._pt_signs() > 0)
     assert pos.dtype == np.uint8 and pos.shape == (len(masks), 16)
     n = tables.cardinality()[:, None].astype(np.int64)
     product = _bits(masks) @ dense._pt_signs()
@@ -425,15 +443,16 @@ def test_oracle_sweep_needs_no_eigensolver(monkeypatch):
     for name in ("eigvalsh", "eigh", "eigvals", "eig"):
         monkeypatch.setattr(np.linalg, name, refuse)
     dense.oracle_sweep()  # builds the cached whole-space tables
-    # A (65536, 16) int64 bit table alone is 8 MiB; the sweep's own
-    # tables (counts and their check, one byte per entry) are 1 MiB each.
+    # A (65536, 16) int64 bit table alone is 8 MiB, and a (65536, 16)
+    # byte table 1 MiB; the sweep streams 64 KB columns and keeps only
+    # running results, about 0.87 MiB at its peak on a 2-core machine.
     tracemalloc.start()
     try:
         report = dense.oracle_sweep()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20, "whole-space table of more than a byte per entry"
+    assert peak < 1.5 * 2**20, "a whole-space table of more than one column"
     assert report["spectra_checked"] == lattice.FULL_MASK
     assert report["disagreements"] == []
     with pytest.raises(AssertionError, match="eigensolver"):

@@ -44,7 +44,7 @@ def test_cold_lp_classify_builds_no_whole_space_table():
         "cls = lattice16.classify(mask)\n"
         "assert cls.justification is lattice16.Justification.LP_CERTIFICATE\n"
         "assert symmetry.canonical_form(mask).canonical != mask\n"
-        "print(tables.k_table.cache_info().currsize,"
+        "print(tables.cardinality.cache_info().currsize,"
         " tables.ppt.cache_info().currsize,"
         " symmetry.group.cache_info().currsize)\n"
     )
@@ -58,15 +58,15 @@ def test_cold_lp_classify_builds_no_whole_space_table():
 
 
 def test_ptspectrum_builds_no_whole_space_table():
-    # The closed-form spectrum of one mask reads lattice.k_matrix, not a
-    # row of the 65,536-row k table.
+    # The closed-form spectrum of one mask reads lattice.k_matrix, not the
+    # 65,536-row tables.
     script = (
         "import contextlib, io\n"
         "from lattice16 import cli, tables\n"
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "    assert cli.main(['ptspectrum', '0x0EEE']) == 0\n"
         "assert '\"analytic\"' in out.getvalue()\n"
-        "print(tables.k_table.cache_info().currsize,"
+        "print(tables.ppt.cache_info().currsize,"
         " tables.cardinality.cache_info().currsize)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -76,6 +76,30 @@ def test_ptspectrum_builds_no_whole_space_table():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 0\n"
+
+
+def test_cold_verify_keeps_no_whole_space_count_table():
+    # verify streams the 16 columns of |I & P+_mn| and of k, 64 KB each,
+    # and keeps only running results: a (65536, 16) byte table is 1 MiB
+    # alone, and the three such tables it used to build peaked at 3.4 MiB.
+    # Cold, on a 2-core machine, the streamed sweep peaks at about 1.0 MiB.
+    script = (
+        "import contextlib, io, tracemalloc\n"
+        "from lattice16 import cli, tables\n"
+        "tracemalloc.start()\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    assert cli.main(['verify']) == 0\n"
+        "peak = tracemalloc.get_traced_memory()[1]\n"
+        "assert out.getvalue().endswith(': OK\\n'), out.getvalue()\n"
+        "print(peak < 1.5 * 2**20, hasattr(tables, 'k_table'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True False\n"
 
 
 def _assert_no_import(package, modules=None):
@@ -140,11 +164,12 @@ def test_only_pt_spectrum_calls_an_eigensolver():
     assert found == [("dense", "pt_spectrum")]
 
 
-def test_bell_basis_is_built_once_without_per_site_kron():
+def test_bell_basis_is_built_once_without_kron():
     # dense builds Psi from the sigma_ab stack and the projectors as one
-    # outer product of its columns; np.kron serves only sigma_pair.  A
-    # per-site psi_plus / psi_pair / projector builder would be a second
-    # definition of the basis (the tests keep the Kronecker one).
+    # outer product of its columns, and sigma_pair is one broadcast
+    # product: src/ calls no np.kron.  A per-site psi_plus / psi_pair /
+    # projector builder would be a second definition of the basis (the
+    # tests keep the Kronecker one).
     krons, builders = [], []
     for path in sorted((ROOT / "src").rglob("*.py")):
         tree = ast.parse(path.read_text())
@@ -167,7 +192,7 @@ def test_bell_basis_is_built_once_without_per_site_kron():
                 isinstance(node, ast.FunctionDef) and name == "projector"
             ):
                 builders.append((path.stem, name))
-    assert krons == [("pauli", "sigma_pair")]
+    assert krons == []
     assert builders == []
 
 

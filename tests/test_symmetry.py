@@ -63,7 +63,7 @@ def test_generators_generate_the_group():
                     seen.add(cand)
                     nxt.append(cand)
         frontier = nxt
-    assert sorted(seen) == symmetry.group()
+    assert tuple(sorted(seen)) == symmetry.group()
 
 
 def test_group_closure_and_inverses():
@@ -208,7 +208,7 @@ def test_carry_and_canonical_refuse_bad_masks():
 def test_group_is_ordered_by_swap_then_col_then_row():
     # The byte tables index elements in this order: i = 576 swap + 24 col + row.
     perms = list(itertools.permutations(range(4)))
-    assert symmetry.group() == list(itertools.product((False, True), perms, perms))
+    assert symmetry.group() == tuple(itertools.product((False, True), perms, perms))
 
 
 # Read from the (swap_axes, col_perm, row_perm) fields of the group
@@ -233,9 +233,21 @@ def test_group_generators_and_act_are_pinned():
         for el in ((False, perm, ident), (False, ident, perm))
     ] + [swap]
     grp = symmetry.group()
-    assert hashlib.sha256(repr(grp).encode()).hexdigest() == GROUP_SHA256
+    assert hashlib.sha256(repr(list(grp)).encode()).hexdigest() == GROUP_SHA256
     images = [symmetry.act(g, m) for g in grp for m in PIN_MASKS]
     assert hashlib.sha256(repr(images).encode()).hexdigest() == IMAGES_SHA256
+
+
+def test_group_cannot_be_reordered_by_a_caller():
+    # Every caller shares the one cached group(), and find_mapping indexes
+    # it: a caller that could reverse it in place would change the element
+    # find_mapping returns.
+    grp = symmetry.group()
+    assert isinstance(grp, tuple) and symmetry.group() is grp
+    with pytest.raises(AttributeError):
+        grp.reverse()
+    target = symmetry.act(grp[5], 0x1236)
+    assert symmetry.act(symmetry.find_mapping(0x1236, target), 0x1236) == target
 
 
 def test_find_mapping_recovers_every_element():

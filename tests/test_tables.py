@@ -4,6 +4,7 @@ against the group action itself."""
 
 import numpy as np
 
+import whole_space
 from generator_unitaries import site_image
 from lattice16 import dense, lattice, symmetry, tables
 
@@ -13,7 +14,7 @@ ALL = lattice.FULL_MASK + 1
 def test_lattice_tables_match_scalar_functions():
     card = tables.cardinality()
     ppt = tables.ppt()
-    margin = 2 * tables.k_table().max(axis=1).astype(np.int16) - card
+    margin = 2 * whole_space.k_table().max(axis=1).astype(np.int16) - card
     assert (card.dtype, ppt.dtype) == (np.uint8, np.bool_)
     assert len(card) == len(ppt) == len(margin) == ALL
     assert card[0] == 0 and not ppt[0]
@@ -28,7 +29,7 @@ def test_lattice_tables_match_scalar_functions():
 
 
 def test_k_table_matches_k_matrix():
-    k = tables.k_table()
+    k = whole_space.k_table()
     assert (k.dtype, k.shape) == (np.uint8, (ALL, 16))
     k = k.tolist()
     for mask in range(ALL):
@@ -36,20 +37,25 @@ def test_k_table_matches_k_matrix():
 
 
 def test_tables_are_read_only():
-    for table in (tables.masks(), tables.cardinality(), tables.k_table(),
-                  tables.ppt(), symmetry.canonical_table(),
-                  symmetry.orbit_size_table(), tables.CROSS):
+    for table in (tables.masks(), tables.cardinality(), tables.ppt(),
+                  symmetry.canonical_table(), symmetry.orbit_size_table(),
+                  tables.CROSS):
         assert not table.flags.writeable
 
 
-def test_whole_space_tables_are_column_major():
-    # A mask's entries lie 65,536 apart, so reductions over them run
-    # elementwise over contiguous columns; the byte tables keep one
-    # contiguous row per byte, which symmetry reads one mask at a time.
+def test_column_sums_yield_contiguous_columns():
+    # src/ keeps no (65536, c) table: column_sums yields one contiguous
+    # 1-D column at a time, 64 KB for a byte weight, as a fresh array the
+    # caller may change in place.  The byte tables keep one contiguous
+    # row per byte, which symmetry reads one mask at a time.
     weights = np.random.default_rng(16).integers(0, 16, (16, 3)).astype(np.uint8)
-    for table in (tables.k_table(), dense._positive_counts(),
-                  tables.mask_sums(weights)):
-        assert table.shape[0] == ALL and table.flags.f_contiguous
+    for w in (tables.CROSS, dense._pt_signs() > 0, weights):
+        columns = list(tables.column_sums(w))
+        assert len(columns) == w.shape[1]
+        for column in columns:
+            assert column.shape == (ALL,) and column.nbytes == ALL
+            assert column.flags.c_contiguous and column.flags.writeable
+        assert not any(np.shares_memory(a, b) for a, b in zip(columns, columns[1:]))
     card = tables.cardinality()
     assert card.shape == (ALL,) and card.flags.c_contiguous
     for table in (*tables.byte_sums(tables.CROSS), *symmetry._group_byte_tables()):
@@ -79,7 +85,10 @@ def _check_byte_and_mask_sums(weights: np.ndarray) -> np.ndarray:
     assert lo.shape == hi.shape == (256, *weights.shape[1:])
     assert np.array_equal(lo, expected[:256])
     assert np.array_equal(hi, expected[::256])
-    sums = tables.mask_sums(weights)
+    columns = list(tables.column_sums(weights))
+    assert len(columns) == weights.shape[1]
+    assert all(c.shape == (len(masks),) for c in columns)
+    sums = np.stack(columns, axis=1)
     assert (sums.dtype, sums.shape) == (weights.dtype, expected.shape)
     assert np.array_equal(sums, expected)
     return sums
@@ -89,7 +98,11 @@ def test_byte_and_mask_sums_match_a_bit_loop():
     rng = np.random.default_rng(16)
     # At most 16 * 15 = 240 per entry: no uint8 wrap.
     _check_byte_and_mask_sums(rng.integers(0, 16, (16, 5)).astype(np.uint8))
-    _check_byte_and_mask_sums(rng.integers(0, 16, 16).astype(np.uint8))
+    _check_byte_and_mask_sums(rng.integers(0, 16, (16, 1)).astype(np.uint8))
+    # 1-D weights give 1-D byte tables (dense reads site indices from them).
+    lo, hi = tables.byte_sums(np.arange(16))
+    expected = _bit_sums(np.arange(16), tables.masks())
+    assert np.array_equal(lo, expected[:256]) and np.array_equal(hi, expected[::256])
     # One-hot site images: distinct sites set distinct bits, so the sum
     # of a group element's images is the image itself, an OR of bits.
     elements = symmetry.group()[::97]
@@ -100,7 +113,8 @@ def test_byte_and_mask_sums_match_a_bit_loop():
     for g, column in zip(elements, images.T):
         assert np.array_equal(column, _image(g, tables.masks()))
     # bool weights count as uint8 rather than OR-ing.
-    assert np.array_equal(tables.mask_sums(tables.CROSS.astype(bool)), tables.k_table())
+    bool_sums = whole_space.stacked(tables.CROSS.astype(bool))
+    assert np.array_equal(bool_sums, whole_space.k_table())
 
 
 def test_canonical_table_is_the_orbit_minimum():
