@@ -121,7 +121,7 @@ def _k1_witness(mask: int, n: int, cross: tuple[int, ...]) -> dict | None:
     if not reports:
         return None
     evidence = {"witness": reports[0].to_json(), "witness_count": len(reports)}
-    prop1b = lattice.prop1b_entangled(mask)
+    prop1b = lattice._prop1b_site(mask, cross)
     if prop1b is not None:
         evidence["prop1b_site"] = list(prop1b)
     return evidence

@@ -13,17 +13,19 @@ partially transposed projector is exactly +-1/4 sum_mn P_mn, so on
 psi_mn 4N rho_I^Gamma has the eigenvalue 2 |I & P+_mn| - N, where P+_mn
 is the set of sites whose sign is +1; the closed form says it is
 N - 2 k_mn.  The sweep proves the 16 identities in exact (dyadic) float
-arithmetic and checks the spectrum, the PPT flag and the k=1 witness
-value of every mask with integer equality, streaming |I & P+_mn| and
-k_mn one 64 KB column mn at a time from :func:`tables.column_sums`.
+arithmetic and checks the spectrum and the PPT flag of every mask with
+integer equality, streaming |I & P+_mn| and k_mn one 64 KB column mn at
+a time from :func:`tables.column_sums`.
 
 Phi_V[B] = Tr(B) I_4 - B - V B^T V* is defined once, by :func:`phi_v`;
 :func:`apply_id_tensor_phi` applies it through its 16x16 matrix, built
 from phi_v of the unit matrices.  The sweep applies it only with the six
 V = sigma_xy of ``witness.canonical_slot``, after checking exactly the
-hypotheses of its positivity proof (in :mod:`lattice16.witness`), in the
-psi basis Psi of the sign identities, and reads each k=1 witness value
-from the byte tables of one (site, contributor) weight column.
+hypotheses of its positivity proof (in :mod:`lattice16.witness`), to the
+16 projectors in the psi basis Psi of the sign identities.  It proves
+the k=1 witness identity of each (site, contributor) pair on every
+projector, which by linearity gives the witness value of every mask; a
+failed identity names the one-site subset of its projector.
 """
 
 from __future__ import annotations
@@ -187,55 +189,24 @@ def _tilde_diagonal(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
     return diag.reshape(*rho.shape[:-2], 4, 4)
 
 
-def _witness_values() -> tuple[np.ndarray, np.ndarray]:
-    """(masks, N * dense values) for every k=1 site of every PPT mask, one
-    entry per (mask, site) in site order, with the contributor and V of
-    witness_scan.
-
-    Column p of the weight table is one (site mn, contributor c) pair,
-    c on the cross through (mu+2, nu+2): row s is the dense value of P_s
-    at the diagonal site (mu, nu), computed once per slot of
-    witness.canonical_slot.  A mask's value at mn is the column of its
-    contributor summed over its sites, read from the two byte tables of
-    the column.  Each weight is -1/2, 0 or 1/2, so the sums are exact.
-    """
-    on_cross = tables.CROSS.T  # [mn, s]
-    sites_of, contributors = np.nonzero(on_cross)
-    slots = [
-        witness.canonical_slot(divmod(c, 4), (mn // 4 ^ 2, mn % 4 ^ 2))
-        for mn, c in zip(sites_of.tolist(), contributors.tolist())
-    ]
-    index = {slot: i for i, slot in enumerate(dict.fromkeys(slots))}
-    # diag[i, s, mn]: the dense value of P_s at site mn under slot i.  The
-    # last column of weight stays 0: a (site, contributor) pair off the cross.
-    diag = np.stack([_tilde_diagonal(projector_stack(), _slot_v(*x)) for x in index])
-    weight = np.zeros((16, len(slots) + 1))
-    weight[:, :-1] = diag.reshape(-1, 16, 16)[[index[x] for x in slots], :, sites_of].T
-    pair = np.full((16, 16), len(slots))  # pair[mn, c]: a column of weight
-    pair[sites_of, contributors] = np.arange(len(slots))
-    lo, hi = tables.byte_sums(weight)
-    # On a mask with one bit, the byte sums of the site indices read its site.
-    site_lo, site_hi = tables.byte_sums(np.arange(16))
-    ppt = tables.ppt()
-    picked = [np.flatnonzero(ppt & (k == 1)) for k in tables.column_sums(tables.CROSS)]
-    masks = np.concatenate(picked)
-    sites = np.repeat(np.arange(16), [len(m) for m in picked])
-    # The contributor is the lowest (at k = 1 the only) bit of I on the cross.
-    point = masks & (on_cross.astype(np.int64) << np.arange(16)).sum(axis=1)[sites]
-    point &= -point
-    cols = pair[sites, site_lo[point & 0xFF] + site_hi[point >> 8]]
-    return masks, lo[masks & 0xFF, cols] + hi[masks >> 8, cols]
-
-
 def oracle_sweep() -> dict:
-    """Check the combinatorial PPT flag, the closed-form PT spectrum and
-    the k=1 witness value against the dense operators on every nonempty
-    mask, with exact equality.
+    """Check the combinatorial PPT flag and the closed-form PT spectrum
+    against the dense operators on every nonempty mask, and the k=1
+    witness identities on every projector, with exact equality.
 
     On psi_mn, 4N rho_I^Gamma has the eigenvalue sum over s in I of
     sign[s, mn] = 2 |I & P+_mn| - N, so the spectrum check is the count
     equality |I & P+_mn| = N - k_mn and the PPT flag is
     2 min_mn |I & P+_mn| >= N.
+
+    For each site mn and each contributor c on its cross, twice column mn
+    of the dense diagonal of the slot ``witness.canonical_slot`` picks is
+    CROSS[s, mn] - 2 [s == c] in every row s: the 1,536 identities
+    counted in ``report["witnesses_checked"]``.  Each site's six
+    contributors pick the six admissible slots, and rho_I is linear in
+    the P_s, so they prove the value (k_mn - 2 absorbed) / (2N) of every
+    mask and slot, -1/(2N) at each k=1 site.  A failed identity is
+    reported as the one-site subset 1 << s of its projector.
 
     Returns a report dict; ``report["disagreements"]`` is empty on success.
     """
@@ -259,14 +230,23 @@ def oracle_sweep() -> dict:
     disagreements = [
         (kind, int(i) + 1) for kind, bad in checks for i in np.flatnonzero(bad)
     ]
-    del least, off, checks  # not kept through the witness pass
-    witnessed, values = _witness_values()
-    # sorted(set()) rather than np.unique, which imports numpy.ma.
-    failed = witnessed[values != -0.5].tolist()
-    disagreements += [("witness", m) for m in sorted(set(failed))]
+    # One (site mn, contributor c) pair per point of each cross.
+    sites_of, contributors = np.nonzero(tables.CROSS.T)
+    slots = [
+        witness.canonical_slot(divmod(c, 4), (mn // 4 ^ 2, mn % 4 ^ 2))
+        for mn, c in zip(sites_of.tolist(), contributors.tolist())
+    ]
+    index = {slot: i for i, slot in enumerate(dict.fromkeys(slots))}
+    # diag[i, s, mn]: the dense value of P_s at site mn under slot i.
+    diag = np.stack([_tilde_diagonal(projector_stack(), _slot_v(*x)) for x in index])
+    # got[p, s]: twice the value of P_s at the site of pair p, under its slot.
+    got = 2 * diag.reshape(-1, 16, 16)[[index[x] for x in slots], :, sites_of]
+    expected = tables.CROSS.T[sites_of] - 2 * (contributors[:, None] == np.arange(16))
+    failed = np.flatnonzero((got != expected).any(axis=0))
+    disagreements += [("witness", 1 << int(s)) for s in failed]
     return {
         "masks_swept": len(n) - 1,
         "spectra_checked": len(n) - 1,
-        "witnesses_checked": len(values),
+        "witnesses_checked": got.size,
         "disagreements": disagreements,
     }

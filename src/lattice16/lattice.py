@@ -149,6 +149,11 @@ def prop1b_entangled(mask: int) -> tuple[int, int] | None:
     cross = _cross_counts(mask)
     if 2 * max(cross) > state_cardinality(mask):  # is_ppt, on these counts
         raise UsageError("subset is NPT; prop1b test needs a PPT subset")
+    return _prop1b_site(mask, cross)
+
+
+def _prop1b_site(mask: int, cross: tuple[int, ...]) -> tuple[int, int] | None:
+    # The test of a PPT mask whose cross counts are known.
     for pos, c in enumerate(cross):
         if c == 1 and not mask >> pos & 1:
             return divmod(pos, 4)

@@ -114,7 +114,11 @@ def _weight(text: str) -> Fraction:
     numerator, denominator = map(int, text.split("/"))
     if denominator == 0:
         raise ValueError("a weight has a zero denominator")
-    return Fraction(numerator, denominator)
+    weight = Fraction(numerator, denominator)
+    # int() would also take "01" and "-0", and "2/4" is not in lowest terms.
+    if text != f"{weight.numerator}/{weight.denominator}":
+        raise ValueError(f"bad weight {text!r}: need to_json's n/d, in lowest terms")
+    return weight
 
 
 @functools.cache  # called with canonical masks only: one LP per orbit

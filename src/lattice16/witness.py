@@ -16,8 +16,10 @@ for V = sigma_xy, where absorbed counts the sites (a, b) of I with
 (mu ^ a, nu ^ b) = (x, y), mu ^ a being the index map i_mu(a) of the
 Pauli product s_mu s_a.  A site with k_mn = 1 has one point of I on its
 cross; :func:`canonical_slot` picks the V that absorbs it, so the value
-is -1/(2N).  The scan checks that identity in integers, and
-:func:`lattice16.dense.oracle_sweep` against the dense operators.
+is -1/(2N).  The scan checks that identity in integers.
+:func:`lattice16.dense.oracle_sweep` proves, against the dense
+operators, the per-projector identities it follows from by linearity,
+for each point of each cross and its slot, so for every subset.
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ def test_criterion_01_oracle_sweep(capsys):
     ok = (
         report["masks_swept"] == 65535
         and report["spectra_checked"] == 65535
-        and report["witnesses_checked"] == 5088
+        and report["witnesses_checked"] == 1536
         and report["disagreements"] == []
     )
     _report(
@@ -53,7 +53,7 @@ def test_criterion_01_oracle_sweep(capsys):
         f"combinatorial PPT vs dense operators, integer equality, on "
         f"{report['masks_swept']} "
         f"subsets, {report['spectra_checked']} full spectra, "
-        f"{report['witnesses_checked']} k=1 witness values, "
+        f"{report['witnesses_checked']} k=1 witness identities, "
         f"{len(report['disagreements'])} disagreements",
     )
 

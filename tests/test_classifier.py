@@ -229,9 +229,8 @@ def test_classify_every_mask_golden():
 
 
 def test_classify_computes_cross_counts_once_for_its_stages(grids, monkeypatch):
-    # classify hands one set of cross counts to every stage; only the
-    # public guards it calls (prop1b_entangled on the witness path, the
-    # LP's PPT test) count again.
+    # classify hands one set of cross counts to every stage, the witness
+    # row's prop1b site included; only the LP's PPT test counts again.
     counts = lattice._cross_counts
     calls = []
     monkeypatch.setattr(
@@ -240,7 +239,7 @@ def test_classify_computes_cross_counts_once_for_its_stages(grids, monkeypatch):
     rho9 = grids["rho9"]  # separable by the LP, no k=1 entry
     for mask, justification, expected in (
         (0x0003, Justification.PROP1A_VIOLATION, 1),
-        (grids["ex1_right_n10"], Justification.PROP3_WITNESS, 2),
+        (grids["ex1_right_n10"], Justification.PROP3_WITNESS, 1),
         (rho9, Justification.LP_CERTIFICATE, 2),
     ):
         calls.clear()

@@ -36,10 +36,10 @@ def _blockwise_phi(v, rho):
 
 
 def _gathered_witness_values():
-    """(masks, values, sites, contributors) of every k=1 site of every PPT
-    mask, without byte tables: weight[contributor, site] times the bits
-    of each mask, summed, with the weights from :func:`_blockwise_phi`
-    of the projector stack."""
+    """(masks, N * values) of every k=1 site of every PPT mask, over the
+    whole space: weight[contributor, site] times the bits of each mask,
+    summed, with the weights from :func:`_blockwise_phi` of the projector
+    stack."""
     on_cross = tables.CROSS.T  # [mn, s]
     weight = np.zeros((16, 16, 16))
     for mn, c in np.argwhere(on_cross).tolist():
@@ -53,7 +53,28 @@ def _gathered_witness_values():
     masks = ppt[rows]
     bits = _bits(masks)
     contributor = np.argmax(bits & on_cross[sites], axis=1)
-    return masks, (weight[contributor, sites] * bits).sum(axis=1), sites, contributor
+    return masks, (weight[contributor, sites] * bits).sum(axis=1)
+
+
+def _reference_value(s, mu, nu, slot):
+    """The closed-form value of P_s at (mu, nu) under V = sigma_slot."""
+    return phi_v_tilde_diagonal(1 << s, mu, nu, VMatrix(pauli.sigma_pair(*slot)))
+
+
+def _identity_failures(value):
+    """The disagreements oracle_sweep should report when value(s, mu, nu,
+    slot) is the dense value of P_s at (mu, nu) under V = sigma_slot: each
+    one-site subset 1 << s at which 2 * value misses CROSS[s, mn] -
+    2 [s == c] for some site mn, contributor c on its cross and the slot
+    witness.canonical_slot picks for them."""
+    failed = set()
+    for mn, c in np.argwhere(tables.CROSS.T).tolist():
+        mu, nu = divmod(mn, 4)
+        slot = witness.canonical_slot(divmod(c, 4), (mu ^ 2, nu ^ 2))
+        for s in range(16):
+            if 2 * value(s, mu, nu, slot) != int(tables.CROSS[s, mn]) - 2 * (s == c):
+                failed.add(s)
+    return [("witness", 1 << s) for s in sorted(failed)]
 
 
 def test_build_lattice_state_properties():
@@ -274,56 +295,68 @@ def test_pt_min_eigenvalues_all_match_analytic_without_eigensolver(monkeypatch):
 def test_oracle_sweep_small():
     report = dense.oracle_sweep()
     assert report["masks_swept"] == report["spectra_checked"] == lattice.FULL_MASK
-    assert report["witnesses_checked"] == 5088
+    assert report["witnesses_checked"] == 1536
+    assert type(report["witnesses_checked"]) is int
     assert report["disagreements"] == []
-    assert len(np.unique(dense._witness_values()[0])) == 2688
 
 
-def test_oracle_sweep_reports_wrong_witness(monkeypatch):
-    # A V that ignores the contributor gives a wrong dense witness value
-    # on the masks whose contributor needs another Pauli slot, and the
-    # integer check of witness_scan rejects exactly those masks.
+def test_oracle_sweep_reports_wrong_witness(monkeypatch, grids):
+    # A V that ignores the contributor leaves it unabsorbed and absorbs
+    # another site instead: the identity fails on those projectors, as
+    # the closed form of admissible_v predicts, and on no others.  The
+    # integer scan, under the same rule, rejects a k=1 mask too.
     monkeypatch.setattr(witness, "canonical_slot", lambda contributing, center: (2, 0))
     report = dense.oracle_sweep()
-    kinds = {kind for kind, _ in report["disagreements"]}
-    assert kinds == {"witness"}
-    assert 0 < len(report["disagreements"]) <= 2688
-    flagged = {mask for _, mask in report["disagreements"]}
-    raised = set()
-    for mask in set(dense._witness_values()[0].tolist()):
-        try:
-            witness.witness_scan(mask)
-        except lattice.ConsistencyError:
-            raised.add(mask)
-    assert raised == flagged
+    expected = _identity_failures(_reference_value)
+    assert expected and report["disagreements"] == expected
+    with pytest.raises(lattice.ConsistencyError, match="sigma_20"):
+        witness.witness_scan(grids["ex1_right_n10"])
+
+
+def test_oracle_sweep_names_the_projectors_of_one_wrong_slot(monkeypatch):
+    # One pair's slot moved to another admissible V: that pair's
+    # contributor (0, 0) goes unabsorbed and the site the new V absorbs,
+    # (3, 0), is absorbed in its place, so P_0 and P_12 are reported.
+    canonical_slot = witness.canonical_slot
+
+    def moved(contributing, center):
+        if (contributing, center) == ((0, 0), (1, 0)):
+            return 0, 2
+        return canonical_slot(contributing, center)
+
+    monkeypatch.setattr(witness, "canonical_slot", moved)
+    report = dense.oracle_sweep()
+    assert report["disagreements"] == _identity_failures(_reference_value)
+    assert report["disagreements"] == [("witness", 1 << 0), ("witness", 1 << 12)]
 
 
 def test_oracle_sweep_applies_phi_v(monkeypatch):
-    # The sweep's dense witness values come from phi_v itself: without
-    # its Tr(B) I term no witness value is -1/2 any more.
+    # The sweep's dense values come from phi_v itself.  Tr_2 P_s = I/4,
+    # so the Tr(B) I term adds 1/4 to every value; without it every
+    # identity of every projector fails.
     theta_v = dense.theta_v
     monkeypatch.setattr(dense, "phi_v", lambda v, b: -b - theta_v(v, b))
     report = dense.oracle_sweep()
-    flagged = [mask for kind, mask in report["disagreements"] if kind == "witness"]
-    assert len(flagged) == len(report["disagreements"]) == 2688
+    expected = _identity_failures(lambda *key: _reference_value(*key) - 0.25)
+    assert len(expected) == 16 and report["disagreements"] == expected
 
 
-def test_witness_values_match_bit_gather():
-    # The byte-table reads give the same (mask, value) pairs as the gather
-    # of each mask's bits against its contributor's weight row.
-    masks, values = dense._witness_values()
-    expected, expected_values, _, _ = _gathered_witness_values()
-    assert len(values) == 5088 and len(set(masks.tolist())) == 2688
-    assert Counter(zip(masks.tolist(), values.tolist())) == Counter(
-        zip(expected.tolist(), expected_values.tolist())
-    )
-    assert (values == -0.5).all()
+def test_gathered_k1_witness_values_are_minus_one_half():
+    # The whole-space consequence of the identities the sweep proves: the
+    # bits of each PPT mask against its contributors' blockwise Phi_V
+    # weights give N * value = -1/2 at all 5,088 k=1 sites, on the 2,688
+    # masks that witness_scan reports, with as many sites as it reports.
+    masks, values = _gathered_witness_values()
+    assert len(values) == 5088 and (values == -0.5).all()
+    sites = Counter(masks.tolist())
+    assert len(sites) == 2688
+    assert sites == {m: len(witness.witness_scan(m)) for m in sites}
 
 
 def test_oracle_sweep_reports_perturbed_slot_entry(monkeypatch):
-    # Entry (s, mu, nu) of one slot's dense diagonal is read only by the
-    # (site, contributor) pairs at (mu, nu) whose contributor picks that
-    # slot, and only on masks that hold s: exactly those are flagged.
+    # Entry (s, mu, nu) of one slot's dense diagonal is read by the one
+    # (site, contributor) pair at (mu, nu) whose contributor picks that
+    # slot, in the identity of P_s: exactly 1 << s is flagged.
     s, (mu, nu), slot = 15, (0, 0), (2, 0)
     tilde_diagonal = dense._tilde_diagonal
 
@@ -334,16 +367,8 @@ def test_oracle_sweep_reports_perturbed_slot_entry(monkeypatch):
         return d
 
     monkeypatch.setattr(dense, "_tilde_diagonal", perturbed)
-    masks, _, sites, contributor = _gathered_witness_values()
-    reads = [
-        m
-        for m, mn, c in zip(masks.tolist(), sites.tolist(), contributor.tolist())
-        if mn == 4 * mu + nu
-        and witness.canonical_slot(divmod(c, 4), (mu ^ 2, nu ^ 2)) == slot
-        and m >> s & 1
-    ]
     report = dense.oracle_sweep()
-    assert reads and report["disagreements"] == [("witness", m) for m in sorted(set(reads))]
+    assert report["disagreements"] == [("witness", 1 << s)]
 
 
 def _patch_k(monkeypatch, entries):
@@ -373,36 +398,20 @@ def test_oracle_sweep_reports_broken_tables(monkeypatch):
 
 
 def test_oracle_sweep_reports_k_table_claiming_one(monkeypatch):
-    # A k entry of 1 where the cross holds no point of I, or two, gives
-    # the witness pass no single contributor.  It reads the value 0
-    # there (no weight column, or the lowest point's, which absorbs that
-    # point and counts the two cross points at 1/2 each) and the sweep
-    # reports the mask rather than fail.
-    k = whole_space.k_table().copy()
+    # A k entry of 1 where the cross holds no point of I, or two, breaks
+    # the count identity of the spectrum check.  The witness identities
+    # read no k, so the spectrum is all that is reported.
+    k = whole_space.k_table()
     ppt = np.flatnonzero(tables.ppt())
     broken = []
     for true_k in (0, 2):
         rows, sites = np.nonzero(k[ppt] == true_k)
-        mask, mn = next(
-            (int(ppt[r]), int(c))
-            for r, c in zip(rows, sites)
-            # k = 0: a site whose cross misses site 0, the contributor
-            # read from an empty intersection.
-            if ppt[r] not in dict(broken) and (true_k or not tables.CROSS[0, c])
-        )
-        k[mask, mn] = 1
-        broken.append((mask, mn))
+        broken.append(next(
+            (int(ppt[r]), int(c)) for r, c in zip(rows, sites) if ppt[r] not in dict(broken)
+        ))
     _patch_k(monkeypatch, dict.fromkeys(broken, 1))
-    masks, values = dense._witness_values()
-    # The k=1 entries come site by site, each site's masks ascending.
-    sites, rows = np.nonzero(k[ppt].T == 1)
-    assert masks.tolist() == ppt[rows].tolist()
-    for mask, mn in broken:
-        assert values[(masks == mask) & (sites == mn)].tolist() == [0.0]
     report = dense.oracle_sweep()
-    assert sorted(report["disagreements"]) == sorted(
-        (kind, m) for kind in ("spectrum", "witness") for m, _ in broken
-    )
+    assert report["disagreements"] == sorted(("spectrum", m) for m, _ in broken)
 
 
 def test_positive_counts_equal_sign_product():
@@ -445,14 +454,14 @@ def test_oracle_sweep_needs_no_eigensolver(monkeypatch):
     dense.oracle_sweep()  # builds the cached whole-space tables
     # A (65536, 16) int64 bit table alone is 8 MiB, and a (65536, 16)
     # byte table 1 MiB; the sweep streams 64 KB columns and keeps only
-    # running results, about 0.87 MiB at its peak on a 2-core machine.
+    # running results, about 0.61 MiB at its peak on a 2-core machine.
     tracemalloc.start()
     try:
         report = dense.oracle_sweep()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 2**20, "a whole-space table of more than one column"
+    assert peak < 1.0 * 2**20, "a whole-space table of more than one column"
     assert report["spectra_checked"] == lattice.FULL_MASK
     assert report["disagreements"] == []
     with pytest.raises(AssertionError, match="eigensolver"):

@@ -82,7 +82,7 @@ def test_cold_verify_keeps_no_whole_space_count_table():
     # verify streams the 16 columns of |I & P+_mn| and of k, 64 KB each,
     # and keeps only running results: a (65536, 16) byte table is 1 MiB
     # alone, and the three such tables it used to build peaked at 3.4 MiB.
-    # Cold, on a 2-core machine, the streamed sweep peaks at about 1.0 MiB.
+    # Cold, on a 2-core machine, the streamed sweep peaks at about 0.78 MiB.
     script = (
         "import contextlib, io, tracemalloc\n"
         "from lattice16 import cli, tables\n"
@@ -91,7 +91,7 @@ def test_cold_verify_keeps_no_whole_space_count_table():
         "    assert cli.main(['verify']) == 0\n"
         "peak = tracemalloc.get_traced_memory()[1]\n"
         "assert out.getvalue().endswith(': OK\\n'), out.getvalue()\n"
-        "print(peak < 1.5 * 2**20, hasattr(tables, 'k_table'))\n"
+        "print(peak < 1.0 * 2**20, hasattr(tables, 'k_table'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -247,6 +247,22 @@ def test_only_tables_builds_byte_tables():
         and node.value == 256
     }
     assert found == {"tables"}
+
+
+def test_dense_reads_the_whole_space_through_column_sums_only():
+    # The sweep streams every whole-space count one 64 KB column at a
+    # time; a byte_sums call in dense would build the 256-row tables of
+    # a whole weight table at once.
+    tree = ast.parse((ROOT / "src" / "lattice16" / "dense.py").read_text())
+    names = {
+        node.attr if isinstance(node, ast.Attribute)
+        else node.id if isinstance(node, ast.Name)
+        else node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name, ast.alias))
+    }
+    assert "byte_sums" not in names
+    assert "column_sums" in names
 
 
 def test_simplex_takes_integers_without_rescaling():

@@ -292,10 +292,15 @@ def test_from_json_rejects_a_zero_denominator():
 
 
 @pytest.mark.parametrize(
-    "weight", [1, 1.0, True, "1e0", "1.0", " 1/1 ", "+1", "1", "+1/1"], ids=repr
+    "weight",
+    [1, 1.0, True, "1e0", "1.0", " 1/1 ", "+1", "1", "+1/1",
+     "2/2", "2/4", "01/2", "1/01", "-0/1"],
+    ids=repr,
 )
 def test_from_json_reads_weights_in_the_n_over_d_form_only(weight):
-    # Fraction() takes each of these, and each certificate then verified.
+    # Fraction() takes each of these.  The last five are n/d, but not the
+    # text to_json writes for their value: "2/2" would read back as 1 and
+    # write out as "1/1".
     good = {"target": "0x0033", "weights": [["0x0033", "1/1"]]}
     assert seplp.verify_certificate(seplp.DecompositionCertificate.from_json(good))
     payload = {**good, "weights": [["0x0033", weight]]}
