@@ -40,21 +40,23 @@ def build_basis() -> list[int]:
     """The 60 basis members: the 36 2x2 rectangles (every pair of
     columns times every pair of rows) and the 24 transversals (site
     (a, p[a]) for each permutation p of the rows).  They are exactly
-    the four-site PPT subsets.  Sorted by their sites, that is by bit
-    positions in itertools.combinations order; that order is the LP's
-    column order.
+    the four-site PPT subsets.  Sorted by their set-bit positions, that
+    is by lattice.sites, in itertools.combinations order; that order is
+    the LP's column order.
     """
     pairs = list(combinations(range(4), 2))
     rectangles = [
-        sum(lattice.site_bit(a, b) for a in cols for b in rows)
+        sum(1 << 4 * a + b for a in cols for b in rows)
         for cols in pairs
         for rows in pairs
     ]
     transversals = [
-        sum(lattice.site_bit(a, p[a]) for a in range(4))
-        for p in permutations(range(4))
+        sum(1 << 4 * a + p[a] for a in range(4)) for p in permutations(range(4))
     ]
-    return sorted(rectangles + transversals, key=lattice.sites)
+    return sorted(
+        rectangles + transversals,
+        key=lambda m: [bit for bit in range(16) if m >> bit & 1],
+    )
 
 
 @dataclass(frozen=True)

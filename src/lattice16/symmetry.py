@@ -111,22 +111,34 @@ def _group_site_maps() -> np.ndarray:
 
 
 @functools.cache
-def _group_byte_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Images of every mask byte under each element of group(), as uint16
-    tables of shape (256, 1152): lo[v, i] is the image of the low byte v
-    under element i and hi[v, i] that of the high byte, so element i
-    sends mask m to lo[m & 0xFF, i] | hi[m >> 8, i].  Built by
-    tables.byte_sums from the one-hot images 1 << _group_site_maps(); the
-    bits of one element are distinct, so each sum is an OR."""
-    return tables.byte_sums((np.uint16(1) << _group_site_maps().astype(np.uint16)).T)
+def _group_nibble_tables() -> tuple[np.ndarray, ...]:
+    """Images of every column nibble under each element of group(), as
+    four uint16 tables of shape (16, 1152), 144 KiB in all: t[a][v, i] is
+    the image under element i of the sites (a, b) for the bits b of v, so
+    element i sends mask m to the OR of t[a][m >> 4a & 0xF, i] over the
+    columns a.  Built by tables.digit_sums from the one-hot images
+    1 << _group_site_maps(); the bits of one element are distinct, so
+    each sum is an OR."""
+    onehot = np.uint16(1) << _group_site_maps().T.astype(np.uint16, order="C")
+    nibbles = tables.digit_sums(onehot, 4)
+    nibbles.setflags(write=False)  # every caller shares the one cached table
+    return tuple(nibbles)
+
+
+def _images(masks: int | np.ndarray) -> np.ndarray:
+    """The images of a mask (an int) or of masks (an integer array) under
+    every element of group(): the last axis runs over the elements."""
+    t0, t1, t2, t3 = _group_nibble_tables()
+    images = t0[masks & 0xF] | t1[masks >> 4 & 0xF]
+    images |= t2[masks >> 8 & 0xF]
+    images |= t3[masks >> 12]
+    return images
 
 
 def _orbit_images(mask: int) -> np.ndarray:
-    """The image of the mask under every element of group(), in order;
-    ValueError unless 0 <= mask <= FULL_MASK."""
-    mask = lattice._in_range(mask)
-    lo, hi = _group_byte_tables()
-    return lo[mask & 0xFF] | hi[mask >> 8]
+    """The image of the mask under every element of group(), in order,
+    four nibble rows ORed; ValueError unless 0 <= mask <= FULL_MASK."""
+    return _images(lattice._in_range(mask))
 
 
 def canonical(mask: int) -> int:
@@ -155,7 +167,10 @@ def canonical_form(mask: int) -> OrbitRecord:
 
 def _first_mapping(images: np.ndarray, target: int) -> int:
     """The index in group() of the first element that sends the source
-    of these images to the target; ValueError if none does."""
+    of these images to the target; TypeError or ValueError for a target
+    that is not a mask, as lattice._in_range, and ValueError if no
+    element sends the source there."""
+    target = lattice._in_range(target)
     first = int(np.argmax(images == target))
     if images[first] != target:
         raise ValueError("masks are not in the same orbit")
@@ -173,9 +188,8 @@ def _carried_images(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The source's images under every element of group(), and the
     members' images with one row per element: shape (1152, len(members))."""
-    lo, hi = _group_byte_tables()
     m = np.array([lattice._in_range(member) for member in members], dtype=np.intp)
-    return _orbit_images(source), (lo[m & 0xFF] | hi[m >> 8]).T.copy()
+    return _orbit_images(source), _images(m).T.copy()
 
 
 def carry(source: int, target: int, members: tuple[int, ...]) -> list[int]:

@@ -3,16 +3,17 @@
 Index m of each array is the mask m, for all 2^16 masks including the
 empty one.  Each cached array is built once, on first use, and is
 read-only.  Every count sums a 16-row weight table, one row per site,
-over the sites of each mask; ``dense`` and ``symmetry`` build their
-byte tables the same way.  No 2-D whole-space table is kept: a weight
-table with c columns, such as the 16 of k, is streamed by
-:func:`column_sums` one column of 65,536 entries at a time.  N is the
-one column of a 1 per site, the PPT flag a running maximum over k's
-columns, and ``verify`` keeps running counts.  The 256-row byte tables
-of :func:`byte_sums` stay row-major, one contiguous row per byte.  The
-scalar functions of :mod:`lattice16.lattice` define the same quantities
-one mask at a time; they stay the public API and the reference these
-tables are tested against.
+over the sites of each mask, from the digit tables of
+:func:`digit_sums`, the one table builder in ``src/``: byte tables for
+the counts here, column-nibble tables for the group images in ``symmetry``.
+No 2-D whole-space table is kept: a weight table with c columns, such
+as the 16 of k, is streamed by :func:`column_sums` one column of 65,536
+entries at a time.  N is the one column of a 1 per site, the PPT flag a
+running maximum over k's columns, and ``verify`` keeps running counts.
+The digit tables stay row-major, one contiguous row per digit value.
+The scalar functions of :mod:`lattice16.lattice` define the same
+quantities one mask at a time; they stay the public API and the
+reference these tables are tested against.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import lattice
 
-__all__ = ["CROSS", "byte_sums", "column_sums", "masks", "cardinality", "ppt"]
+__all__ = ["CROSS", "digit_sums", "column_sums", "masks", "cardinality", "ppt"]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -41,18 +42,20 @@ CROSS = _frozen(np.array(
 ))
 
 
-def byte_sums(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) for a weight table with one row per site: lo[v] sums
-    weights[k] over the bits k of the byte v, and hi[v] sums
-    weights[8 + k].  Sums keep the weights' dtype; bool counts as uint8."""
+def digit_sums(weights: np.ndarray, width: int) -> np.ndarray:
+    """The sums of a weight table with one row per site over the bits of
+    each digit value, for the 16 // width digits of a mask, low digit
+    first: t[d, v] sums weights[width * d + k] over the bits k of v, so a
+    mask m sums to the sum over d of t[d, m >> width * d & (2**width - 1)].
+    Shape (16 // width, 2**width, *weights.shape[1:]), one contiguous row
+    per digit value.  Sums keep the weights' dtype; bool counts as uint8."""
     w = weights.astype(np.uint8) if weights.dtype == np.bool_ else weights
-    lo = np.zeros((256, *w.shape[1:]), dtype=w.dtype)
-    hi = np.zeros_like(lo)
-    for k in range(8):
-        # Bytes with top bit k are those below 2^k with bit k added.
-        np.add(lo[: 1 << k], w[k], out=lo[1 << k : 2 << k])
-        np.add(hi[: 1 << k], w[8 + k], out=hi[1 << k : 2 << k])
-    return lo, hi
+    w = w.reshape(16 // width, width, *w.shape[1:])
+    t = np.zeros((len(w), 1 << width, *w.shape[2:]), dtype=w.dtype)
+    for k in range(width):
+        # Digit values with top bit k are those below 2^k with bit k added.
+        np.add(t[:, : 1 << k], w[:, k, None], out=t[:, 1 << k : 2 << k])
+    return t
 
 
 def column_sums(weights: np.ndarray) -> Iterator[np.ndarray]:
@@ -61,7 +64,7 @@ def column_sums(weights: np.ndarray) -> Iterator[np.ndarray]:
     m for mask m, the outer sum of two contiguous 256-entry rows of the
     transposed byte tables (64 KB for a byte weight).  The caller keeps
     running results, never a (65536, c) table."""
-    lo, hi = (np.ascontiguousarray(t.T) for t in byte_sums(weights))
+    lo, hi = (np.ascontiguousarray(t.T) for t in digit_sums(weights, 8))
     for lo_j, hi_j in zip(lo, hi):
         yield (hi_j[:, None] + lo_j).ravel()
 

@@ -102,6 +102,30 @@ def test_cold_verify_keeps_no_whole_space_count_table():
     assert proc.stdout == "True False\n"
 
 
+def test_cold_lp_classify_keeps_no_byte_image_table():
+    # classify reads the group's images from four (16, 1152) column-nibble
+    # tables, 144 KiB in all; the two (256, 1152) byte tables they replace
+    # were 1.1 MiB, and a cold LP classify peaked at 1.2 MiB with them.
+    # Cold, on a 2-core machine, it peaks at about 0.22 MiB.
+    script = (
+        "import tracemalloc\n"
+        "import lattice16\n"
+        "tracemalloc.start()\n"
+        "mask = lattice16.parse_subset('.XXX/.XXX/.XXX/....')\n"
+        "cls = lattice16.classify(mask)\n"
+        "peak = tracemalloc.get_traced_memory()[1]\n"
+        "assert cls.justification is lattice16.Justification.LP_CERTIFICATE\n"
+        "print(peak < 0.5 * 2**20)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
+
+
 def _assert_no_import(package, modules=None):
     """No module of src/lattice16 (or only the named ones) imports
     ``package`` or a submodule of it."""
@@ -233,25 +257,41 @@ def test_src_needs_no_numpy_2():
     assert '"numpy>=1.24"' in (ROOT / "pyproject.toml").read_text()
 
 
-def test_only_tables_builds_byte_tables():
-    # Every whole-space table sums a 16-row weight table over the sites of
-    # each mask, from the two 256-row tables of tables.byte_sums.  The
-    # integer 256 anywhere else in src/ would be a second byte-table
-    # builder.  (Comments and docstrings are not integers.)
-    found = {
-        path.stem
-        for path in sorted((ROOT / "src").rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Constant)
-        and type(node.value) is int
-        and node.value == 256
-    }
-    assert found == {"tables"}
+def test_only_tables_builds_digit_tables():
+    # Every whole-space count and every group image sums a 16-row weight
+    # table over the sites of each mask, from the digit tables of
+    # tables.digit_sums: bytes for column_sums, column nibbles for
+    # symmetry.  A table doubled by an add or OR into an out= slice
+    # anywhere else in src/ would be a second builder, and so would a
+    # hard-coded 256-row byte table.  (Comments and docstrings are not
+    # code.)
+    builders, callers, bytes_256 = set(), set(), set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        functions = [
+            fn for fn in ast.walk(ast.parse(path.read_text()))
+            if isinstance(fn, ast.FunctionDef)
+        ]
+        for fn in functions:
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("add", "bitwise_or")
+                    and any(kw.arg == "out" for kw in node.keywords)
+                ):
+                    builders.add((path.stem, fn.name))
+                if isinstance(node, ast.Attribute) and node.attr == "digit_sums":
+                    callers.add((path.stem, fn.name))
+                if isinstance(node, ast.Constant) and node.value == 256:
+                    bytes_256.add(path.stem)
+    assert builders == {("tables", "digit_sums")}
+    assert callers == {("symmetry", "_group_nibble_tables")}
+    assert bytes_256 == set()
 
 
 def test_dense_reads_the_whole_space_through_column_sums_only():
     # The sweep streams every whole-space count one 64 KB column at a
-    # time; a byte_sums call in dense would build the 256-row tables of
+    # time; a digit_sums call in dense would build the 256-row tables of
     # a whole weight table at once.
     tree = ast.parse((ROOT / "src" / "lattice16" / "dense.py").read_text())
     names = {
@@ -261,7 +301,7 @@ def test_dense_reads_the_whole_space_through_column_sums_only():
         for node in ast.walk(tree)
         if isinstance(node, (ast.Attribute, ast.Name, ast.alias))
     }
-    assert "byte_sums" not in names
+    assert "digit_sums" not in names
     assert "column_sums" in names
 
 
@@ -333,7 +373,7 @@ def test_symmetry_keeps_the_group_as_plain_tuples():
     # A group element is the tuple (swap_axes, col_perm, row_perm) that
     # act reads.  A class of elements with its own site action, or a
     # cached_property memo of one, would be a second encoding of the
-    # action beside act and the byte tables.
+    # action beside act and the nibble tables.
     tree = ast.parse((ROOT / "src" / "lattice16" / "symmetry.py").read_text())
     classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
     assert classes == ["OrbitRecord"]

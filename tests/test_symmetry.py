@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from generator_unitaries import site_image, verify_generator_numerically
@@ -111,19 +112,24 @@ def test_action_preserves_invariants():
         ) == sorted(x for r in lattice.k_matrix(mask) for x in r)
 
 
-def test_group_site_maps_and_byte_tables():
-    # The broadcast site maps and the doubled byte tables against act,
-    # which stays the reference.
+def test_group_site_maps_and_nibble_tables():
+    # The broadcast site maps and the doubled column-nibble tables against
+    # act, which stays the reference.
     grp = symmetry.group()
     maps = symmetry._group_site_maps()
     assert maps.shape == (1152, 16)
     assert maps.tolist() == [[site_image(el, p) for p in range(16)] for el in grp]
-    lo, hi = symmetry._group_byte_tables()
+    nibbles = symmetry._group_nibble_tables()
+    assert [(t.shape, t.dtype) for t in nibbles] == [((16, 1152), np.uint16)] * 4
+    assert sum(t.nbytes for t in nibbles) == 144 * 1024
+    assert not any(t.flags.writeable for t in nibbles)
     masks = [1 << pos for pos in range(16)] + [0x00FF, 0xFF00, lattice.FULL_MASK]
     masks += random.Random(200).sample(range(lattice.FULL_MASK + 1), 200)
     for mask in masks:
-        images = lo[mask & 0xFF] | hi[mask >> 8]
+        rows = [t[mask >> 4 * a & 0xF] for a, t in enumerate(nibbles)]
+        images = np.bitwise_or.reduce(rows)
         assert images.tolist() == [symmetry.act(g, mask) for g in grp]
+        assert symmetry._orbit_images(mask).tolist() == images.tolist()
 
 
 def test_canonical_form_orbit_stabilizer():
@@ -205,8 +211,27 @@ def test_carry_and_canonical_refuse_bad_masks():
             symmetry.canonical(mask)
 
 
+@pytest.mark.parametrize(
+    "target, error, message",
+    [
+        (True, TypeError, "a bool is not a mask"),
+        (2.0, TypeError, "float"),
+        (lattice.FULL_MASK + 1, ValueError, "outside 0..0xFFFF"),
+        (-1, ValueError, "outside 0..0xFFFF"),
+    ],
+)
+def test_find_mapping_and_carry_range_check_the_target(target, error, message):
+    # True and 2.0 would compare equal to the images 1 and 2, and a mask
+    # outside 0..0xFFFF is no orbit's: each is refused as every other
+    # entry point refuses it, not mapped or called "not in the same orbit".
+    with pytest.raises(error, match=message):
+        symmetry.find_mapping(0x0001, target)
+    with pytest.raises(error, match=message):
+        symmetry.carry(0x0001, target, (0x0033,))
+
+
 def test_group_is_ordered_by_swap_then_col_then_row():
-    # The byte tables index elements in this order: i = 576 swap + 24 col + row.
+    # The nibble tables index elements in this order: i = 576 swap + 24 col + row.
     perms = list(itertools.permutations(range(4)))
     assert symmetry.group() == tuple(itertools.product((False, True), perms, perms))
 

@@ -46,8 +46,8 @@ def test_tables_are_read_only():
 def test_column_sums_yield_contiguous_columns():
     # src/ keeps no (65536, c) table: column_sums yields one contiguous
     # 1-D column at a time, 64 KB for a byte weight, as a fresh array the
-    # caller may change in place.  The byte tables keep one contiguous
-    # row per byte, which symmetry reads one mask at a time.
+    # caller may change in place.  The digit tables keep one contiguous
+    # row per digit value: symmetry reads four nibble rows per mask.
     weights = np.random.default_rng(16).integers(0, 16, (16, 3)).astype(np.uint8)
     for w in (tables.CROSS, dense._pt_signs() > 0, weights):
         columns = list(tables.column_sums(w))
@@ -58,8 +58,9 @@ def test_column_sums_yield_contiguous_columns():
         assert not any(np.shares_memory(a, b) for a, b in zip(columns, columns[1:]))
     card = tables.cardinality()
     assert card.shape == (ALL,) and card.flags.c_contiguous
-    for table in (*tables.byte_sums(tables.CROSS), *symmetry._group_byte_tables()):
+    for table in (*tables.digit_sums(tables.CROSS, 8), *symmetry._group_nibble_tables()):
         assert table.flags.c_contiguous
+        assert all(row.flags.c_contiguous for row in table)
 
 
 def _image(g: symmetry.Element, masks: np.ndarray) -> np.ndarray:
@@ -81,10 +82,12 @@ def _bit_sums(weights: np.ndarray, masks: np.ndarray) -> np.ndarray:
 def _check_byte_and_mask_sums(weights: np.ndarray) -> np.ndarray:
     masks = tables.masks()
     expected = _bit_sums(weights, masks)
-    lo, hi = tables.byte_sums(weights)
-    assert lo.shape == hi.shape == (256, *weights.shape[1:])
-    assert np.array_equal(lo, expected[:256])
-    assert np.array_equal(hi, expected[::256])
+    for width in (8, 4):
+        digits = tables.digit_sums(weights, width)
+        assert digits.shape == (16 // width, 1 << width, *weights.shape[1:])
+        for d, table in enumerate(digits):
+            # The masks whose only set bits are in digit d.
+            assert np.array_equal(table, expected[masks[: 1 << width] << width * d])
     columns = list(tables.column_sums(weights))
     assert len(columns) == weights.shape[1]
     assert all(c.shape == (len(masks),) for c in columns)
@@ -99,10 +102,12 @@ def test_byte_and_mask_sums_match_a_bit_loop():
     # At most 16 * 15 = 240 per entry: no uint8 wrap.
     _check_byte_and_mask_sums(rng.integers(0, 16, (16, 5)).astype(np.uint8))
     _check_byte_and_mask_sums(rng.integers(0, 16, (16, 1)).astype(np.uint8))
-    # 1-D weights give 1-D byte tables (dense reads site indices from them).
-    lo, hi = tables.byte_sums(np.arange(16))
+    # 1-D weights give 1-D rows.
     expected = _bit_sums(np.arange(16), tables.masks())
+    lo, hi = tables.digit_sums(np.arange(16), 8)
     assert np.array_equal(lo, expected[:256]) and np.array_equal(hi, expected[::256])
+    nibbles = tables.digit_sums(np.arange(16), 4)
+    assert np.array_equal(nibbles, [expected[np.arange(16) << 4 * d] for d in range(4)])
     # One-hot site images: distinct sites set distinct bits, so the sum
     # of a group element's images is the image itself, an OR of bits.
     elements = symmetry.group()[::97]
@@ -115,6 +120,7 @@ def test_byte_and_mask_sums_match_a_bit_loop():
     # bool weights count as uint8 rather than OR-ing.
     bool_sums = whole_space.stacked(tables.CROSS.astype(bool))
     assert np.array_equal(bool_sums, whole_space.k_table())
+    assert tables.digit_sums(tables.CROSS.astype(bool), 4).dtype == np.uint8
 
 
 def test_canonical_table_is_the_orbit_minimum():
